@@ -29,7 +29,7 @@ from .errors import (
 )
 from .linalg import load_matrix_csv, save_matrix_csv
 from .randomness import BitSource, derive_stream
-from .reports import BenchReport, emit_report, report_to_dict
+from .reports import BenchReport, CutReport, emit_report, report_to_dict
 from .transforms import parse_kind
 
 
@@ -231,15 +231,14 @@ def _cmd_dp(args) -> int:
         params = privacy.DpParams(alpha=args.alpha, beta=args.beta, r=args.r)
         cs = privacy.cut_sketch(edges, args.vertices, params, args.seed, kind=args.kind)
         vertex_set = [int(v) for v in args.set.split(",") if v != ""]
-        estimate = privacy.cut_query(cs, vertex_set)
-        exact = privacy.exact_cut(edges, args.vertices, vertex_set)
-        result = {
-            "estimate": estimate,
-            "exact": exact,
-            "vertex_set": vertex_set,
-            "w": params.resolved_w(),
-        }
-        print(result)
+        report = CutReport(
+            vertex_set=vertex_set,
+            estimate=privacy.cut_query(cs, vertex_set),
+            exact=privacy.exact_cut(edges, args.vertices, vertex_set),
+            w=params.resolved_w(),
+            seed=args.seed,
+        )
+        _emit(args, report)
         return 0
     if args.dp_command == "stream":
         return _cmd_dp_stream(args)
@@ -365,60 +364,61 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    """Quick deterministic checks from every module's easy tier."""
+    """Quick deterministic checks from every module's easy tier.
+
+    A failed check raises ContractError naming it (exit code 2); the checks
+    do not rely on assert, so they also run under python -O.
+    """
     from .linalg import circular_convolve, fwht_normalized, least_squares
     from .linalg import spectral_extremes, symmetric_eigenvalues
 
     checks = 0
-    assert np.allclose(fwht_normalized(np.array([1.0])), [1.0])
-    assert np.allclose(
-        fwht_normalized(np.array([1.0, 0.0])), [1 / math.sqrt(2)] * 2
+
+    def check(ok, name: str) -> None:
+        nonlocal checks
+        if not ok:
+            raise ContractError(f"selftest check failed: {name}")
+        checks += 1
+
+    check(np.allclose(fwht_normalized(np.array([1.0])), [1.0]), "fwht of length 1")
+    check(
+        np.allclose(fwht_normalized(np.array([1.0, 0.0])), [1 / math.sqrt(2)] * 2),
+        "fwht of length 2",
     )
-    checks += 2
-    assert np.allclose(symmetric_eigenvalues(np.eye(3)), [1, 1, 1])
-    lo, hi = spectral_extremes(np.zeros((3, 3)))
-    assert lo == 0.0 and hi == 0.0
-    checks += 2
+    check(np.allclose(symmetric_eigenvalues(np.eye(3)), [1, 1, 1]), "eigenvalues of I")
+    check(spectral_extremes(np.zeros((3, 3))) == (0.0, 0.0), "singular values of 0")
     b = np.array([0.0, 2.0])
-    assert abs(least_squares(np.ones((2, 1)), b)[0] - 1.0) < 1e-12
+    check(abs(least_squares(np.ones((2, 1)), b)[0] - 1.0) < 1e-12, "least-squares mean")
     delta = np.zeros(4)
     delta[0] = 1.0
     x = np.array([3.0, 1.0, 4.0, 1.0])
-    assert np.allclose(circular_convolve(delta, x), x)
-    checks += 2
+    check(np.allclose(circular_convolve(delta, x), x), "convolution with a delta")
 
     src = BitSource(args.seed)
-    assert src.draw_rademacher(0).shape == (0,)
-    assert src.draw_uniform_index(1) == 0
-    assert np.array_equal(BitSource(args.seed).sample_permutation(1), [0])
-    checks += 3
+    check(src.draw_rademacher(0).shape == (0,), "empty sign draw")
+    check(src.draw_uniform_index(1) == 0, "uniform index from one")
+    check(np.array_equal(BitSource(args.seed).sample_permutation(1), [0]), "permutation of one")
 
     t = transforms.build("new-rademacher", 16, 4, BitSource(args.seed), allow_large_r=True)
-    assert transforms.apply(t, np.zeros(16)).shape == (4,)
-    assert np.allclose(transforms.apply(t, np.zeros(16)), 0.0)
-    assert transforms.pad_to_pow2(np.ones(5)).shape == (8,)
-    checks += 3
+    check(transforms.apply(t, np.zeros(16)).shape == (4,), "sketch shape")
+    check(np.allclose(transforms.apply(t, np.zeros(16)), 0.0), "sketch of zero")
+    check(transforms.pad_to_pow2(np.ones(5)).shape == (8,), "power-of-two padding")
 
     vec = harness.make_family_vector("constant", 4, BitSource(args.seed))
-    assert np.allclose(vec, 0.5)
-    assert harness.hw_bound(1e-12, 1.0, 1.0, 1.0, 1.0) > 1.999
-    checks += 2
+    check(np.allclose(vec, 0.5), "constant family vector")
+    check(harness.hw_bound(1e-12, 1.0, 1.0, 1.0, 1.0) > 1.999, "Hanson-Wright bound at 0")
 
     d, support = rip.rip_constant(np.eye(5), 2)
-    assert d < 1e-12 and len(support) == 2
-    checks += 1
+    check(d < 1e-12 and len(support) == 2, "RIP constant of I")
 
     p = privacy.DpParams(alpha=1.0, beta=0.1, r=4, lift=True, w=5.0)
-    lifted = privacy.lift_matrix(np.zeros((2, 2)), p)
-    lo, _ = spectral_extremes(lifted)
-    assert abs(lo - 5.0) < 1e-9
+    lo, _ = spectral_extremes(privacy.lift_matrix(np.zeros((2, 2)), p))
+    check(abs(lo - 5.0) < 1e-9, "lifted singular-value floor")
     alpha, beta = privacy.compose_privacy(0, 0.5, 0.01, 0.02)
-    assert alpha == 0.0 and beta == 0.02
-    checks += 2
+    check(alpha == 0.0 and beta == 0.02, "privacy composition")
 
     pair = attacks.pair_bounded_orthonormal(16, 3.0)
-    assert abs(pair.a[0, 0] - 3.0) < 1e-12 and pair.a[0, 1] == 1.0
-    checks += 1
+    check(abs(pair.a[0, 0] - 3.0) < 1e-12 and pair.a[0, 1] == 1.0, "bounded-orthonormal pair")
 
     print(f"selftest passed ({checks} checks, seed {args.seed})")
     return 0

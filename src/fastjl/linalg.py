@@ -1,9 +1,9 @@
 """Dense matrix/vector kernels shared by every other module.
 
-Everything here is deterministic, desk-scale, and pure: the in-place fast
-Walsh-Hadamard butterfly, a cyclic Jacobi eigensolver for small symmetric
-matrices, extreme singular values through the smaller Gram matrix, least
-squares via normal equations, and direct circular convolution.
+Everything here is deterministic and pure: the in-place fast Walsh-Hadamard
+butterfly, symmetric eigenvalues, extreme singular values and least squares
+through LAPACK (numpy.linalg), and circular convolution through the real FFT
+(numpy.fft).
 
 Hadamard matrices are never materialized; only the butterfly is exposed.
 """
@@ -15,10 +15,6 @@ import math
 import numpy as np
 
 from .errors import ContractError, DimensionError, SingularMatrixError
-
-# Jacobi sweep target: off-diagonal Frobenius norm below this times ||M||_F.
-_JACOBI_TOL = 1e-12
-_JACOBI_MAX_SWEEPS = 60
 
 
 def is_power_of_two(n: int) -> bool:
@@ -67,74 +63,40 @@ def fwht_normalized(v: np.ndarray) -> np.ndarray:
 
 
 def symmetric_eigenvalues(m: np.ndarray) -> np.ndarray:
-    """All eigenvalues of a symmetric matrix, ascending, by cyclic Jacobi sweeps.
+    """All eigenvalues of a symmetric matrix, ascending (LAPACK eigvalsh).
 
-    Iterates until the off-diagonal Frobenius norm drops below
-    1e-12 * ||M||_F.  Intended for the small matrices this package works
-    with (Gram matrices of restricted supports, lifted spectra checks).
+    Also takes a stack of matrices, shape (..., k, k), and returns their
+    eigenvalues in shape (..., k).  Each matrix must be symmetric within
+    1e-10 * max(1, ||M||_F); the symmetrized matrix is decomposed.
     """
     a = require_finite(m, "matrix")
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimensionError(f"expected a square matrix, got shape {a.shape}")
-    n = a.shape[0]
-    scale = np.linalg.norm(a)
-    if scale == 0.0:
-        return np.zeros(n)
-    if np.max(np.abs(a - a.T)) > 1e-10 * max(1.0, scale):
-        raise ContractError("matrix is not symmetric within 1e-10")
-    a = 0.5 * (a + a.T)
-    if n == 1:
-        return a.diagonal().copy()
-
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        off = math.sqrt(max(0.0, np.sum(a * a) - np.sum(a.diagonal() ** 2)))
-        if off <= _JACOBI_TOL * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 0.25 * _JACOBI_TOL * scale / (n * n):
-                    continue
-                theta = 0.5 * (a[q, q] - a[p, p]) / apq
-                t = math.copysign(1.0, theta) / (
-                    abs(theta) + math.sqrt(theta * theta + 1.0)
-                )
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                rp = a[p, :].copy()
-                rq = a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                cp = a[:, p].copy()
-                cq = a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-    return np.sort(a.diagonal())
+    at = np.swapaxes(a, -1, -2)
+    if a.size:
+        scale = np.linalg.norm(a, axis=(-2, -1))
+        if np.any(np.abs(a - at).max(axis=(-2, -1)) > 1e-10 * np.maximum(1.0, scale)):
+            raise ContractError("matrix is not symmetric within 1e-10")
+    return np.linalg.eigvalsh(0.5 * (a + at))
 
 
 def spectral_extremes(m: np.ndarray) -> tuple[float, float]:
-    """(sigma_min, sigma_max) of an arbitrary matrix.
-
-    Square roots of the extreme eigenvalues of the smaller of M^T M
-    and M M^T.
-    """
+    """(sigma_min, sigma_max) of an arbitrary matrix, over its min(rows, cols)
+    singular values (LAPACK, values only)."""
     a = require_finite(m, "matrix")
     if a.ndim == 1:
         a = a[None, :]
-    rows, cols = a.shape
-    gram = a.T @ a if cols <= rows else a @ a.T
-    lam = symmetric_eigenvalues(gram)
-    lo = math.sqrt(max(lam[0], 0.0))
-    hi = math.sqrt(max(lam[-1], 0.0))
-    return lo, hi
+    sigma = np.linalg.svd(a, compute_uv=False)
+    return float(sigma[-1]), float(sigma[0])
 
 
 def least_squares(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """argmin_x ||A x - b||_2 through the normal equations.
+    """argmin_x ||A x - b||_2 (LAPACK lstsq).
 
-    A must have at least as many rows as columns and a numerically
-    nonsingular Gram matrix; rank-deficient systems raise
-    SingularMatrixError carrying the condition estimate.
+    A must have at least as many rows as columns and sigma_min(A) above
+    1e-6 * sigma_max(A); rank-deficient systems raise SingularMatrixError
+    carrying the condition estimate sigma_max / sigma_min (inf when
+    sigma_min is 0).
     """
     a = require_finite(a, "matrix")
     b = require_finite(b, "right-hand side")
@@ -147,88 +109,39 @@ def least_squares(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     rows, cols = a.shape
     if rows < cols:
         raise DimensionError(f"underdetermined system {rows}x{cols}")
-    gram = a.T @ a
-    lam = symmetric_eigenvalues(gram)
-    if lam[0] <= 1e-12 * lam[-1]:
-        cond = math.inf if lam[0] <= 0 else math.sqrt(lam[-1] / lam[0])
+    x, _, _, sigma = np.linalg.lstsq(a, b, rcond=None)
+    if sigma[-1] <= 1e-6 * sigma[0]:
+        cond = math.inf if sigma[-1] == 0 else float(sigma[0] / sigma[-1])
         raise SingularMatrixError(
             f"rank-deficient least-squares system (condition ~ {cond:.3e})",
             condition_estimate=cond,
         )
-    # Eigendecomposition of the Gram matrix doubles as the solver.
-    vecs = _eigenvectors_for(gram, lam)
-    rhs = a.T @ b
-    y = vecs.T @ rhs
-    return vecs @ (y / lam)
-
-
-def _eigenvectors_for(gram: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """Orthonormal eigenvectors matching symmetric_eigenvalues' output order.
-
-    Runs the same Jacobi iteration but accumulates the rotations.  Kept
-    separate so symmetric_eigenvalues stays allocation-light.
-    """
-    a = gram.astype(float).copy()
-    n = a.shape[0]
-    v = np.eye(n)
-    scale = np.linalg.norm(a)
-    if scale == 0.0:
-        return v
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        off = math.sqrt(max(0.0, np.sum(a * a) - np.sum(a.diagonal() ** 2)))
-        if off <= _JACOBI_TOL * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 0.25 * _JACOBI_TOL * scale / (n * n):
-                    continue
-                theta = 0.5 * (a[q, q] - a[p, p]) / apq
-                t = math.copysign(1.0, theta) / (
-                    abs(theta) + math.sqrt(theta * theta + 1.0)
-                )
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                rp = a[p, :].copy()
-                rq = a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                cp = a[:, p].copy()
-                cq = a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    order = np.argsort(a.diagonal())
-    return v[:, order]
+    return x
 
 
 def circular_convolve(g: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """y_i = sum_j g_{(i-j) mod n} x_j, computed directly in O(n^2).
+    """y_i = sum_j g_{(i-j) mod n} x_j through the real FFT, O(n log n).
 
-    Real arithmetic only; sized for the attack and benchmark uses
-    (n <= 4096), so no FFT.
+    x is a length-n vector or an (n, m) matrix convolved column by column.
     """
     g = require_finite(g, "generator")
     x = require_finite(x, "input")
-    if g.ndim != 1 or x.ndim != 1 or g.shape[0] != x.shape[0]:
-        raise DimensionError("circular_convolve requires equal-length vectors")
+    if g.ndim != 1 or x.ndim not in (1, 2) or not 0 < g.shape[0] == x.shape[0]:
+        raise DimensionError(
+            "circular_convolve requires a generator and an input of equal length"
+        )
     n = g.shape[0]
-    out = np.empty(n)
-    idx = np.arange(n)
-    for i in range(n):
-        out[i] = np.dot(g[(i - idx) % n], x)
-    return out
+    spectrum = np.fft.rfft(g)
+    if x.ndim == 2:
+        spectrum = spectrum[:, None]
+    return np.fft.irfft(spectrum * np.fft.rfft(x, axis=0), n=n, axis=0)
 
 
 def circulant_rows(g: np.ndarray, count: int) -> np.ndarray:
     """First `count` rows of the circulant matrix generated by g."""
     g = require_finite(g, "generator")
     n = g.shape[0]
-    idx = np.arange(n)
-    return np.stack([g[(i - idx) % n] for i in range(count)])
+    return g[(np.arange(count)[:, None] - np.arange(n)) % n]
 
 
 def save_matrix_csv(path, m: np.ndarray) -> None:

@@ -70,7 +70,6 @@ class BitSource:
         self._bit_leftover = np.empty(0, dtype=np.uint8)
         self.bits_consumed = 0
         self.gaussian_samples_consumed = 0
-        self.uniforms_consumed = 0
 
     def _blocks(self, count: int) -> np.ndarray:
         idx = np.arange(
@@ -148,7 +147,6 @@ class BitSource:
             else:
                 used_pairs = batch
             self._block_index += 2 * used_pairs
-            self.uniforms_consumed += 2 * used_pairs
             sel = ok[:used_pairs]
             s = s[:used_pairs]
             factor = np.where(sel, np.sqrt(-2.0 * np.log(np.where(sel, s, 0.5)) / s), 0.0)

@@ -104,6 +104,15 @@ class AttackReport:
 
 
 @dataclass
+class CutReport:
+    vertex_set: list
+    estimate: float
+    exact: float
+    w: float
+    seed: int
+
+
+@dataclass
 class BenchReport:
     kind: str
     sizes: list

@@ -26,7 +26,7 @@ from .errors import (
     ResourceError,
 )
 from .linalg import (
-    circulant_rows,
+    circular_convolve,
     fwht_normalized,
     is_power_of_two,
     next_power_of_two,
@@ -293,10 +293,16 @@ def build(
     elif tag == FJLT:
         factors["signs"] = src.draw_rademacher(n).astype(float)
         mark("signs")
+        # Each entry is kept when its 64 drawn bits, read as an integer,
+        # fall below p * 2^64; at p = 1 that bound exceeds uint64 and every
+        # entry is kept, the bits still being drawn.
         threshold = int(kind.p * 2.0**64)
         raw = src._take_bits(64 * r * n).astype(np.uint64).reshape(r * n, 64)
-        weights = (np.uint64(1) << np.arange(63, -1, -1, dtype=np.uint64))
-        mask = (raw * weights).sum(axis=1, dtype=np.uint64) < np.uint64(threshold)
+        if threshold < 2**64:
+            weights = (np.uint64(1) << np.arange(63, -1, -1, dtype=np.uint64))
+            mask = (raw * weights).sum(axis=1, dtype=np.uint64) < np.uint64(threshold)
+        else:
+            mask = np.ones(r * n, dtype=bool)
         mark("density_mask")
         values = np.zeros(r * n)
         nnz = int(mask.sum())
@@ -394,8 +400,7 @@ def apply_columns(t: JlTransform, x: np.ndarray) -> np.ndarray:
         y = fwht_normalized(x)[f["rows"]]
         out = (y.reshape(t.r, t.kind.bucket, m) * f["sigma"][:, :, None]).sum(axis=1)
     elif tag == PARTIAL_CIRCULANT:
-        rows = circulant_rows(f["generator"], t.r)
-        out = rows @ (x * f["signs"][:, None])
+        out = circular_convolve(f["generator"], x * f["signs"][:, None])[: t.r]
     elif tag == HASH_SPARSE:
         y = fwht_normalized(x * f["signs"][:, None])
         out = np.zeros((t.r, m))

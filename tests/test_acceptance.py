@@ -5,8 +5,13 @@ Run with `pytest tests/test_acceptance.py -v -s` (or scripts/run_acceptance.py)
 to see the per-criterion lines.
 """
 
+import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -156,13 +161,31 @@ def _bench_apply(tag, sizes, r, reps=50, warmups=5):
     return medians
 
 
+def _bench_apply_one_thread(tag, sizes, r):
+    """_bench_apply in a fresh interpreter with BLAS pinned to one thread.
+
+    OpenBLAS picks its gemv thread count by size (one thread at n=4096, two
+    at n=8192 on a 2-core machine), which would time the thread switch
+    rather than the apply; the count is fixed before numpy loads.
+    """
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    paths = [str(Path(__file__).parent), str(Path(tr.__file__).parents[1])]
+    env["PYTHONPATH"] = os.pathsep.join(paths + [env.get("PYTHONPATH", "")])
+    code = (
+        "import json, test_acceptance as a; "
+        f"print(json.dumps(a._bench_apply({tag!r}, {sizes!r}, {r})))"
+    )
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return json.loads(run.stdout.splitlines()[-1])
+
+
 def test_c06_runtime_scaling():
     t0 = time.time()
     sizes = [1 << k for k in range(12, 17)]
-    fast = _bench_apply("new-rademacher", sizes, 64)
+    fast = _bench_apply_one_thread("new-rademacher", sizes, 64)
     fast_ratios = [fast[i + 1] / fast[i] for i in range(len(fast) - 1)]
     assert max(fast_ratios) <= 2.8, fast_ratios
-    dense = _bench_apply("dense-gaussian", sizes, 64)
+    dense = _bench_apply_one_thread("dense-gaussian", sizes, 64)
     dense_ratios = [dense[i + 1] / dense[i] for i in range(len(dense) - 1)]
     # single steps wobble across cache boundaries; linear total work shows
     # in the geometric mean of the doubling ratios

@@ -4,9 +4,10 @@ import sys
 
 import numpy as np
 
-from fastjl import cli
+from fastjl import cli, linalg, transforms
 from fastjl.linalg import load_matrix_csv, save_matrix_csv
 from fastjl.randomness import BitSource
+from fastjl.reports import load_report
 
 
 def run_cli(args):
@@ -17,6 +18,11 @@ class TestExitCodes:
     def test_selftest_ok(self, capsys):
         assert run_cli(["selftest", "--seed", "7"]) == 0
         assert "selftest passed" in capsys.readouterr().out
+
+    def test_selftest_failure_is_two(self, capsys, monkeypatch):
+        monkeypatch.setattr(linalg, "circular_convolve", lambda g, x: np.zeros_like(x))
+        assert run_cli(["selftest", "--seed", "7"]) == 2
+        assert "convolution with a delta" in capsys.readouterr().err
 
     def test_usage_error_is_one(self, capsys):
         assert run_cli(["gen", "--bogus"]) == 1
@@ -69,6 +75,13 @@ class TestGen:
         assert code == 0
         m = load_matrix_csv(out)
         assert m.shape == (4, 16)
+
+    def test_fjlt_density_one_keeps_every_entry(self, capsys):
+        assert run_cli(["gen", "--kind", "fjlt:1.0", "--n", "64", "--r", "4"]) == 0
+        assert "gaussians=256" in capsys.readouterr().out
+        t = transforms.build(transforms.parse_kind("fjlt:1.0"), 64, 4, BitSource(0))
+        assert np.count_nonzero(t.factors["dense"]) == 4 * 64
+        assert t.draw_counts["density_mask"] == 64 * 4 * 64
 
 
 class TestReports:
@@ -174,8 +187,27 @@ class TestDpCut:
             "--r", "256", "--seed", "5",
         ])
         assert code == 0
-        out = capsys.readouterr().out
-        assert "estimate" in out and "exact" in out
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["seed"] == 5 and payload["argv"] is not None
+        assert payload["report"]["exact"] == 2.0
+        assert payload["report"]["vertex_set"] == [0]
+
+    def test_cut_out_file(self, tmp_path, capsys):
+        graph = tmp_path / "edges.csv"
+        graph.write_text("0,1,1.0\n1,2,1.0\n0,2,1.0\n")
+        out = tmp_path / "cut.json"
+        code = run_cli([
+            "dp", "cut", "--graph", str(graph), "--set", "0,1",
+            "--vertices", "4", "--alpha", "1.0", "--beta", "0.1",
+            "--r", "256", "--seed", "5", "--out", str(out), "--deterministic",
+        ])
+        assert code == 0
+        assert capsys.readouterr().out == ""
+        payload = load_report(out)
+        assert set(payload) == {"version", "seed", "argv", "report_type", "report"}
+        assert payload["report_type"] == "CutReport"
+        assert payload["report"]["exact"] == 2.0
+        assert payload["report"]["w"] > 0
 
 
 class TestEnvSeed:

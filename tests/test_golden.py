@@ -1,0 +1,141 @@
+"""Golden digests: seeded outputs that refactors must not move.
+
+Each case serializes its result with report_to_dict(..., deterministic=True)
+as sorted-key JSON (floats in shortest round-trip form) and pins the
+SHA-256 of those bytes.  A digest changes only when some value changes in
+its last bit, so a passing run shows the outputs are bit-identical to the
+ones the digests were taken from.  The dense BLAS kinds are left out: their
+matrix products may round differently with the BLAS thread count.
+
+After an intended behaviour change, run this file as a script to print
+every digest, and record in CHANGES.md why each one moved.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+
+import numpy as np
+import pytest
+
+from fastjl import attacks, harness, privacy, transforms
+from fastjl.randomness import BitSource
+from fastjl.reports import report_to_dict
+
+
+def _digest(report) -> str:
+    payload = report_to_dict(report, seed=0, deterministic=True)
+    text = json.dumps(payload, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _jlp(kind):
+    return lambda: harness.jlp_failure_rate(kind, 256, 16, 0.5, "random-unit", 1000, 11)
+
+
+def _attack(pair):
+    return lambda: attacks.run_attack(pair, 1000, 3)
+
+
+def _control():
+    params = privacy.DpParams(alpha=1.0, beta=0.1, r=16)
+    pair = attacks.pair_hadamard(64, 2840.0)
+    return attacks.gaussian_control(pair, "new-gaussian", params, 1000, 5)
+
+
+def _publish(publish, lift):
+    def case():
+        a = BitSource(21).draw_gaussian(5 * 12).reshape(5, 12)
+        if not lift:
+            # Singular values near 4000, above the floor of about 2800.
+            a += 4000.0 * np.eye(5, 12)
+        params = privacy.DpParams(alpha=1.0, beta=0.1, r=16, lift=lift)
+        return publish(a, params, seed=9)
+
+    return case
+
+
+def _mm_stream():
+    params = privacy.DpParams(alpha=1.0, beta=0.1, r=16, lift=True)
+    cols = BitSource(22).draw_gaussian(10 * 7).reshape(10, 7)
+    sk = privacy.mm_sketch_init(params, 4, 3, seed=13, kind="new-gaussian")
+    for c in range(4):
+        privacy.mm_sketch_update(sk, "A", c, cols[:, c])
+    for c in range(3):
+        privacy.mm_sketch_update(sk, "B", c, cols[:, 4 + c])
+    privacy.mm_sketch_update(sk, "A", 1, cols[:, 6])
+    return {"y_a": sk.y_a, "y_b": sk.y_b}
+
+
+def _draw_counts():
+    kinds = [k if k != "fjlt" else "fjlt:0.25" for k in transforms.ALL_TAGS]
+    out = {}
+    for i, text in enumerate(kinds):
+        t = transforms.build(transforms.parse_kind(text), 64, 4, BitSource(30 + i), allow_large_r=True)
+        out[text] = t.draw_counts
+    return out
+
+
+def _fjlt_factors():
+    t = transforms.build(transforms.parse_kind("fjlt:0.25"), 64, 4, BitSource(40))
+    return {"signs": t.factors["signs"], "dense": t.factors["dense"], "scale": t.scale}
+
+
+GOLDEN = {
+    "jlp-new-gaussian": (
+        _jlp("new-gaussian"),
+        "fc3c53c87eac7cf41fa294a689fa15d890937e20d2975e9158444c775635f572",
+    ),
+    "jlp-new-rademacher": (
+        _jlp("new-rademacher"),
+        "ce0f2532c29e924a8cd68ec53f03961d58fd3b8c3da166513cc227ab785405aa",
+    ),
+    "attack-hash-sparse": (
+        _attack(attacks.pair_hadamard(64, 10.0)),
+        "523586ae3df4f31e173dcb0a2646288444d016c30b5b3768d9dc654fa7e48bf1",
+    ),
+    "attack-combined-rows": (
+        _attack(attacks.pair_bounded_orthonormal(64, 10.0)),
+        "52a4f17aff1aaa3c39f5366c2e8302797323d7b79232cfe8123378cbe42f5e61",
+    ),
+    "control-new-gaussian": (
+        _control,
+        "104f8a33b2f2ce8d7d309d8b9ac91cbaab071ab4874838c2dce6c4f047a03c76",
+    ),
+    "publish-first-new-gaussian": (
+        _publish(privacy.publish_first_moment, lift=True),
+        "48d6692b48a7e08bedf3abba12f9783a72f1635a936a2b659d8c8ab9389dcdd1",
+    ),
+    "publish-first-floor-checked": (
+        _publish(privacy.publish_first_moment, lift=False),
+        "c34990eae10544e6e175c8d287465d162414a6369d39ec68c1fc3ce35a9f7a0c",
+    ),
+    "publish-second-new-gaussian": (
+        _publish(privacy.publish_second_moment, lift=True),
+        "07dab30a5a9d0d10baaba09052409cab2811effff4608313c556a42c94516237",
+    ),
+    "mm-stream-new-gaussian": (
+        _mm_stream,
+        "b7f6214ade960ed6f69c8758f412d526457c9065f16d9c55650880bc5c9bf959",
+    ),
+    "draw-counts-every-kind": (
+        _draw_counts,
+        "877293ce4ba527742543a6025869d2fb113ea8dcb91fb04b426d5ed2df7472fd",
+    ),
+    "fjlt-0.25-factors": (
+        _fjlt_factors,
+        "c06595a7563e6afc106f8b8e95bbea50620e34e75aa4365435f73a690c1a101b",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_digest(name):
+    case, expected = GOLDEN[name]
+    assert _digest(case()) == expected
+
+
+if __name__ == "__main__":
+    for name in sorted(GOLDEN):
+        print(name, _digest(GOLDEN[name][0]()))
