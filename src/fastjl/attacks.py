@@ -17,6 +17,7 @@ is uncritical.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -172,6 +173,19 @@ def pair_iterated(n: int, w: float, ell: int = 3) -> NeighbourPair:
     )
 
 
+def pair_for(kind: transforms.TransformKind, n: int, w: float) -> NeighbourPair | None:
+    """The pair attacked when kind is the target, or None if no attack targets it."""
+    if kind.tag == transforms.SUBSAMPLED_HADAMARD:
+        return pair_bounded_orthonormal(n, w)
+    if kind.tag == transforms.HASH_SPARSE:
+        return pair_hadamard(n, w)
+    if kind.tag == transforms.PARTIAL_CIRCULANT:
+        return pair_circulant(n, w)
+    if kind.tag == transforms.AILON_LIBERTY:
+        return pair_iterated(n, w, kind.depth)
+    return None
+
+
 # -- lattice pattern helpers -------------------------------------------------
 
 
@@ -293,49 +307,46 @@ def _build_mechanism(kind, n, r, src):
     return t
 
 
+def _run_trials(pair, mechanism, trials, seed, r, pair_name, predicted) -> AttackReport:
+    """Run the distinguisher on both worlds, one derived stream per trial."""
+    probe = _default_probe(pair, r)
+    guesses = Counter()
+    for i in range(trials):
+        t = _build_mechanism(mechanism, pair.n, r, derive_stream(seed, i))
+        for world, a in (("A", pair.a), ("A_tilde", pair.a_tilde)):
+            out = transforms.apply_columns(t, a[:, :2])
+            guesses[world, distinguisher(out, pair, probe, r)] += 1
+    fired_a = guesses["A", GUESS_ATILDE]
+    fired_at = guesses["A_tilde", GUESS_ATILDE]
+    return AttackReport(
+        target_kind=mechanism.describe(),
+        pair_name=pair_name,
+        n=pair.n,
+        trials=trials,
+        distinguisher_name=f"lattice-pattern@{pair.target_kind.tag}",
+        successes_on_A=guesses["A", GUESS_A],
+        successes_on_Atilde=fired_at,
+        fired_tilde_on_A=fired_a,
+        fired_tilde_on_Atilde=fired_at,
+        advantage=abs(fired_at - fired_a) / trials,
+        wilson_ci=newcombe_diff_ci_95(fired_at, trials, fired_a, trials),
+        predicted_rate=predicted,
+        abstain_rate_A=guesses["A", ABSTAIN] / trials,
+        abstain_rate_Atilde=guesses["A_tilde", ABSTAIN] / trials,
+        seed=seed,
+    )
+
+
 def run_attack(
     pair: NeighbourPair, trials: int, seed: int, r: int = 16
 ) -> AttackReport:
     """Estimate the distinguisher's identification rates on both worlds."""
     if trials < 10**3:
         raise ParameterRangeError("run_attack needs at least 10^3 trials")
-    probe = _default_probe(pair, r)
-    correct_a = correct_at = 0
-    fired_a = fired_at = 0
-    abstain_a = abstain_at = 0
-    for i in range(trials):
-        src = derive_stream(seed, i)
-        t = _build_mechanism(pair.target_kind, pair.n, r, src)
-        out_a = transforms.apply_columns(t, pair.a[:, :2])
-        out_at = transforms.apply_columns(t, pair.a_tilde[:, :2])
-        guess_a = distinguisher(out_a, pair, probe, r)
-        guess_at = distinguisher(out_at, pair, probe, r)
-        correct_a += guess_a == GUESS_A
-        correct_at += guess_at == GUESS_ATILDE
-        fired_a += guess_a == GUESS_ATILDE
-        fired_at += guess_at == GUESS_ATILDE
-        abstain_a += guess_a == ABSTAIN
-        abstain_at += guess_at == ABSTAIN
     predicted = pair.predicted_rate
     if pair.target_kind.tag == transforms.AILON_LIBERTY:
         predicted = r / (4.0 * pair.n)
-    return AttackReport(
-        target_kind=pair.target_kind.describe(),
-        pair_name=pair.name,
-        n=pair.n,
-        trials=trials,
-        distinguisher_name=f"lattice-pattern@{pair.target_kind.tag}",
-        successes_on_A=correct_a,
-        successes_on_Atilde=correct_at,
-        fired_tilde_on_A=fired_a,
-        fired_tilde_on_Atilde=fired_at,
-        advantage=abs(fired_at - fired_a) / trials,
-        wilson_ci=newcombe_diff_ci_95(fired_at, trials, fired_a, trials),
-        predicted_rate=predicted,
-        abstain_rate_A=abstain_a / trials,
-        abstain_rate_Atilde=abstain_at / trials,
-        seed=seed,
-    )
+    return _run_trials(pair, pair.target_kind, trials, seed, r, pair.name, predicted)
 
 
 def gaussian_control(
@@ -362,37 +373,4 @@ def gaussian_control(
             sigma_min=pair.w,
             threshold=threshold,
         )
-    probe = _default_probe(pair, r)
-    fired_a = fired_at = 0
-    correct_a = correct_at = 0
-    abstain_a = abstain_at = 0
-    for i in range(trials):
-        src = derive_stream(seed, i)
-        t = transforms.build(mechanism, pair.n, r, src, allow_large_r=True)
-        out_a = transforms.apply_columns(t, pair.a[:, :2])
-        out_at = transforms.apply_columns(t, pair.a_tilde[:, :2])
-        guess_a = distinguisher(out_a, pair, probe, r)
-        guess_at = distinguisher(out_at, pair, probe, r)
-        fired_a += guess_a == GUESS_ATILDE
-        fired_at += guess_at == GUESS_ATILDE
-        correct_a += guess_a == GUESS_A
-        correct_at += guess_at == GUESS_ATILDE
-        abstain_a += guess_a == ABSTAIN
-        abstain_at += guess_at == ABSTAIN
-    return AttackReport(
-        target_kind=mechanism.describe(),
-        pair_name=pair.name + "/control",
-        n=pair.n,
-        trials=trials,
-        distinguisher_name=f"lattice-pattern@{pair.target_kind.tag}",
-        successes_on_A=correct_a,
-        successes_on_Atilde=correct_at,
-        fired_tilde_on_A=fired_a,
-        fired_tilde_on_Atilde=fired_at,
-        advantage=abs(fired_at - fired_a) / trials,
-        wilson_ci=newcombe_diff_ci_95(fired_at, trials, fired_a, trials),
-        predicted_rate=None,
-        abstain_rate_A=abstain_a / trials,
-        abstain_rate_Atilde=abstain_at / trials,
-        seed=seed,
-    )
+    return _run_trials(pair, mechanism, trials, seed, r, pair.name + "/control", None)

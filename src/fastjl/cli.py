@@ -29,7 +29,7 @@ from .errors import (
 )
 from .linalg import load_matrix_csv, save_matrix_csv
 from .randomness import BitSource, derive_stream
-from .reports import BenchReport, CutReport, emit_report, report_to_dict
+from .reports import BenchReport, CutReport, emit_report
 from .transforms import parse_kind
 
 
@@ -74,7 +74,6 @@ def build_parser() -> _Parser:
     j.add_argument("--eps", type=float, required=True)
     j.add_argument("--family", default="random-unit", choices=harness.FAMILIES)
     j.add_argument("--trials", type=int, default=10000)
-    j.add_argument("--workers", type=int, default=1)
     _add_common(j, out=True)
 
     rp = sub.add_parser("rip", help="brute-force restricted isometry survey")
@@ -146,30 +145,13 @@ def build_parser() -> _Parser:
 
 
 def _emit(args, report) -> None:
-    payload_path = getattr(args, "out", None)
-    if payload_path:
-        emit_report(
-            report,
-            payload_path,
-            seed=getattr(args, "seed", None),
-            argv=sys.argv[1:],
-            deterministic=args.deterministic,
-        )
-    else:
-        import json
-
-        print(
-            json.dumps(
-                report_to_dict(
-                    report,
-                    seed=getattr(args, "seed", None),
-                    argv=sys.argv[1:],
-                    deterministic=args.deterministic,
-                ),
-                indent=2,
-                sort_keys=True,
-            )
-        )
+    emit_report(
+        report,
+        getattr(args, "out", None) or None,
+        seed=getattr(args, "seed", None),
+        argv=sys.argv[1:],
+        deterministic=args.deterministic,
+    )
 
 
 def _cmd_gen(args) -> int:
@@ -194,7 +176,6 @@ def _cmd_jlp(args) -> int:
         args.family,
         args.trials,
         args.seed,
-        workers=args.workers,
     )
     _emit(args, report)
     return 0
@@ -257,6 +238,13 @@ def load_graph_csv(path):
     return rows
 
 
+def _parse_script_line(line: str, sided: bool):
+    """(side, column index, column) from "[side,]index,values..."."""
+    fields = line.split(",")
+    side = fields.pop(0) if sided else None
+    return side, int(fields[0]), np.array([float(v) for v in fields[1:]])
+
+
 def _cmd_dp_stream(args) -> int:
     params = privacy.DpParams(
         alpha=args.alpha, beta=args.beta, r=args.r, lift=args.lift,
@@ -264,32 +252,19 @@ def _cmd_dp_stream(args) -> int:
     )
     with open(args.script) as fh:
         lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
+    parsed = [_parse_script_line(ln, sided=args.mode == "mm") for ln in lines]
     if args.mode == "mm":
-        parsed = []
-        m1 = m2 = 0
-        for ln in lines:
-            side, idx, *vals = ln.split(",")
-            idx = int(idx)
-            if side == "A":
-                m1 = max(m1, idx + 1)
-            else:
-                m2 = max(m2, idx + 1)
-            parsed.append((side, idx, np.array([float(v) for v in vals])))
+        m1 = max([0] + [idx + 1 for side, idx, _ in parsed if side == "A"])
+        m2 = max([0] + [idx + 1 for side, idx, _ in parsed if side != "A"])
         sk = privacy.mm_sketch_init(params, m1, m2, args.seed, kind=args.kind)
         for side, idx, col in parsed:
             privacy.mm_sketch_update(sk, side, idx, col)
         save_matrix_csv(args.out, privacy.mm_query(sk))
         print(f"mm sketch query written to {args.out}")
         return 0
-    parsed = []
-    m = 0
-    for ln in lines:
-        idx, *vals = ln.split(",")
-        idx = int(idx)
-        m = max(m, idx + 1)
-        parsed.append((idx, np.array([float(v) for v in vals])))
+    m = max([0] + [idx + 1 for _, idx, _ in parsed])
     sk = privacy.lr_sketch_init(params, m, args.seed, kind=args.kind)
-    for idx, col in parsed:
+    for _, idx, col in parsed:
         privacy.lr_update(sk, idx, col)
     if not args.query:
         raise UsageError("lr streaming needs --query pointing at a CSV vector")
@@ -300,22 +275,11 @@ def _cmd_dp_stream(args) -> int:
     return 0
 
 
-_PAIR_BUILDERS = {
-    transforms.SUBSAMPLED_HADAMARD: lambda n, w, k: attacks.pair_bounded_orthonormal(n, w),
-    transforms.HASH_SPARSE: lambda n, w, k: attacks.pair_hadamard(n, w),
-    transforms.PARTIAL_CIRCULANT: lambda n, w, k: attacks.pair_circulant(n, w),
-    transforms.AILON_LIBERTY: lambda n, w, k: attacks.pair_iterated(
-        n, w, k.depth or 3
-    ),
-}
-
-
 def _cmd_attack(args) -> int:
     kind = parse_kind(args.target)
-    builder = _PAIR_BUILDERS.get(kind.tag)
-    if builder is None:
+    pair = attacks.pair_for(kind, args.n, args.w)
+    if pair is None:
         raise UsageError(f"no attack defined against kind {kind.tag!r}")
-    pair = builder(args.n, args.w, kind)
     if args.control:
         params = privacy.DpParams(alpha=args.alpha, beta=args.beta, r=args.r)
         report = attacks.gaussian_control(

@@ -10,7 +10,6 @@ the comparisons.
 from __future__ import annotations
 
 import math
-import multiprocessing
 
 import numpy as np
 from scipy.special import gammainc, gammaincc
@@ -61,22 +60,6 @@ def chi_square_interval_tail(r: int, eps: float) -> float:
     return float(upper + lower)
 
 
-def _jlp_chunk(args):
-    kind, n, r, epsilon, family, seed, start, stop = args
-    failures = 0
-    distortions = np.empty(stop - start)
-    for i in range(start, stop):
-        src = derive_stream(seed, i)
-        t = transforms.build(kind, n, r, src, allow_large_r=True)
-        x = make_family_vector(family, n, src)
-        y = transforms.apply(t, x)
-        d = abs(float(y @ y) - 1.0)
-        distortions[i - start] = d
-        if d > epsilon:
-            failures += 1
-    return failures, distortions
-
-
 def jlp_failure_rate(
     kind,
     n: int,
@@ -85,29 +68,25 @@ def jlp_failure_rate(
     family: str,
     trials: int,
     seed: int,
-    workers: int = 1,
 ) -> JlpReport:
     """Empirical probability that | ||Phi x||^2 - 1 | exceeds epsilon.
 
     One fresh transform and one fresh family vector per trial, each from
-    its own derived stream, so reports are reproducible and independent of
-    worker count.
+    its own derived stream, so reports are reproducible.
     """
     if trials < 1000:
         raise ParameterRangeError("jlp_failure_rate needs at least 1000 trials")
     if isinstance(kind, str):
         kind = transforms.parse_kind(kind)
-    chunks = _split_range(trials, workers)
-    args = [
-        (kind, n, r, epsilon, family, seed, start, stop) for start, stop in chunks
-    ]
-    if workers > 1:
-        with multiprocessing.get_context("fork").Pool(workers) as pool:
-            parts = pool.map(_jlp_chunk, args)
-    else:
-        parts = [_jlp_chunk(a) for a in args]
-    failures = sum(p[0] for p in parts)
-    distortions = np.sort(np.concatenate([p[1] for p in parts]))
+    distortions = np.empty(trials)
+    for i in range(trials):
+        src = derive_stream(seed, i)
+        t = transforms.build(kind, n, r, src, allow_large_r=True)
+        x = make_family_vector(family, n, src)
+        y = transforms.apply(t, x)
+        distortions[i] = abs(float(y @ y) - 1.0)
+    failures = int(np.count_nonzero(distortions > epsilon))
+    distortions.sort()
     quantiles = {
         "50": float(np.quantile(distortions, 0.50)),
         "90": float(np.quantile(distortions, 0.90)),
@@ -127,12 +106,6 @@ def jlp_failure_rate(
         distortion_quantiles=quantiles,
         seed=seed,
     )
-
-
-def _split_range(total: int, workers: int):
-    workers = max(1, int(workers))
-    step = (total + workers - 1) // workers
-    return [(s, min(s + step, total)) for s in range(0, total, step)]
 
 
 def infinity_norm_check(
@@ -178,6 +151,21 @@ def infinity_norm_check(
     )
 
 
+def _block_sq_norms(n: int, r: int, trials: int, seed: int, family: str) -> np.ndarray:
+    """Per trial, the squared norms of the r blocks of perm(W D x): (trials, r)."""
+    if n % r != 0:
+        raise DimensionError(f"r={r} must divide n={n}")
+    out = np.empty((trials, r))
+    for i in range(trials):
+        src = derive_stream(seed, i)
+        signs = src.draw_rademacher(n).astype(float)
+        perm = src.sample_permutation(n)
+        x = make_family_vector(family, n, src)
+        y = fwht_normalized(signs * x)[perm]
+        out[i] = (y.reshape(r, n // r) ** 2).sum(axis=1)
+    return out
+
+
 def block_norm_check(
     n: int,
     r: int,
@@ -193,18 +181,9 @@ def block_norm_check(
     records max_j | ||z_j||^2 - 1 |.  Overlay: the sampling-without-
     replacement bound 2 r exp(-eps^2 t / log(n/delta)) with t = n/r.
     """
-    if n % r != 0:
-        raise DimensionError(f"r={r} must divide n={n}")
     t = n // r
-    maxima = np.empty(trials)
-    for i in range(trials):
-        src = derive_stream(seed, i)
-        signs = src.draw_rademacher(n).astype(float)
-        perm = src.sample_permutation(n)
-        x = make_family_vector(family, n, src)
-        y = fwht_normalized(signs * x)[perm]
-        block_sq = r * (y.reshape(r, t) ** 2).sum(axis=1)
-        maxima[i] = np.max(np.abs(block_sq - 1.0))
+    block_sq = r * _block_sq_norms(n, r, trials, seed, family)
+    maxima = np.max(np.abs(block_sq - 1.0), axis=1)
     thresholds = [epsilon * f for f in (0.25, 0.5, 0.75, 1.0, 1.5, 2.0)]
     emp = [float(np.mean(maxima > e)) for e in thresholds]
     bounds = [
@@ -235,19 +214,9 @@ def block_nonzero_check(
     The smallest rescaled block norm governs whether the block projection
     can see every direction; the overlay is r * 2^(-(1-theta)^2 n^(2/3)).
     """
-    if n % r != 0:
-        raise DimensionError(f"r={r} must divide n={n}")
     if not 0.0 <= theta < 1.0:
         raise ParameterRangeError("theta must lie in [0, 1)")
-    t = n // r
-    minima = np.empty(trials)
-    for i in range(trials):
-        src = derive_stream(seed, i)
-        signs = src.draw_rademacher(n).astype(float)
-        perm = src.sample_permutation(n)
-        x = make_family_vector(family, n, src)
-        y = fwht_normalized(signs * x)[perm]
-        minima[i] = math.sqrt(r * float((y.reshape(r, t) ** 2).sum(axis=1).min()))
+    minima = np.sqrt(r * _block_sq_norms(n, r, trials, seed, family).min(axis=1))
     thresholds = sorted({theta * f for f in (0.5, 1.0)} | {theta + 0.2, 0.9})
     emp = [float(np.mean(minima <= th)) for th in thresholds]
     bounds = [

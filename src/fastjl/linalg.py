@@ -83,9 +83,9 @@ def symmetric_eigenvalues(m: np.ndarray) -> np.ndarray:
 def spectral_extremes(m: np.ndarray) -> tuple[float, float]:
     """(sigma_min, sigma_max) of an arbitrary matrix, over its min(rows, cols)
     singular values (LAPACK, values only)."""
-    a = require_finite(m, "matrix")
-    if a.ndim == 1:
-        a = a[None, :]
+    a = np.atleast_2d(require_finite(m, "matrix"))
+    if a.ndim != 2 or a.size == 0:
+        raise DimensionError(f"expected a non-empty matrix, got shape {a.shape}")
     sigma = np.linalg.svd(a, compute_uv=False)
     return float(sigma[-1]), float(sigma[0])
 
@@ -107,6 +107,8 @@ def least_squares(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             f"b has length {b.shape[0] if b.ndim == 1 else '?'}, expected {a.shape[0]}"
         )
     rows, cols = a.shape
+    if cols == 0:
+        raise DimensionError("least squares needs at least one column")
     if rows < cols:
         raise DimensionError(f"underdetermined system {rows}x{cols}")
     x, _, _, sigma = np.linalg.lstsq(a, b, rcond=None)

@@ -26,14 +26,17 @@ from .errors import (
     ParameterRangeError,
     PrivacyPreconditionError,
 )
-from .linalg import least_squares, next_power_of_two, spectral_extremes
+from .linalg import (
+    least_squares,
+    next_power_of_two,
+    spectral_extremes,
+    symmetric_eigenvalues,
+)
 from .randomness import BitSource
 from . import transforms
 
 FIRST_MOMENT = "first-moment"
 SECOND_MOMENT = "second-moment"
-
-_PUBLISHABLE = (transforms.NEW_GAUSSIAN, transforms.DENSE_GAUSSIAN)
 
 
 @dataclass(frozen=True)
@@ -93,12 +96,12 @@ def _lifted_height(e_dim: int, col_len: int) -> int:
     return 2 * (e_dim + col_len)
 
 
-def _lift_column(column: np.ndarray, index: int, e_dim: int, w: float) -> np.ndarray:
-    """Stack w e_index, a zero block, and the data column."""
-    col_len = column.shape[0]
-    out = np.zeros(_lifted_height(e_dim, col_len))
-    out[index] = w
-    out[e_dim + e_dim + col_len :] = column
+def _lift_columns(cols: np.ndarray, indices, e_dim: int, w: float) -> np.ndarray:
+    """Column j of the result stacks w e_{indices[j]}, a zero block, and cols[:, j]."""
+    col_len = cols.shape[0]
+    out = np.zeros((_lifted_height(e_dim, col_len), cols.shape[1]))
+    out[indices, np.arange(cols.shape[1])] = w
+    out[e_dim + e_dim + col_len :] = cols
     return out
 
 
@@ -110,15 +113,11 @@ def lift_matrix(a: np.ndarray, params: DpParams) -> np.ndarray:
     bottom block preserves A exactly.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
-    rows, cols = a.shape
-    w = params.resolved_w()
-    out = np.zeros((_lifted_height(cols, rows), cols))
-    out[:cols, :cols] = w * np.eye(cols)
-    out[2 * cols + rows :, :] = a
-    return out
+    cols = a.shape[1]
+    return _lift_columns(a, np.arange(cols), cols, params.resolved_w())
 
 
-@dataclass
+@dataclass(frozen=True)
 class PrivateSketch:
     """An immutable published sketch plus the parameters that justified it."""
 
@@ -137,7 +136,7 @@ class PrivateSketch:
 def _require_publishable(kind) -> transforms.TransformKind:
     if isinstance(kind, str):
         kind = transforms.parse_kind(kind)
-    if kind.tag not in _PUBLISHABLE:
+    if kind.tag not in transforms.GAUSSIAN_ENTRIED:
         raise ContractError(
             f"kind {kind.tag!r} may not publish: privacy requires Gaussian "
             "projection entries"
@@ -171,7 +170,7 @@ def _delta_structural(kind: transforms.TransformKind, r: int, n_input: int) -> f
     return min(1.0, r * 2.0 ** (-(n_input ** (2.0 / 3.0))))
 
 
-def _check_floor(a: np.ndarray, params: DpParams) -> float:
+def _check_floor(a: np.ndarray, params: DpParams) -> None:
     sigma_min, _ = spectral_extremes(a)
     threshold = w_threshold(params.alpha, params.beta, params.r)
     if sigma_min < threshold - 1e-12:
@@ -181,7 +180,47 @@ def _check_floor(a: np.ndarray, params: DpParams) -> float:
             sigma_min=sigma_min,
             threshold=threshold,
         )
-    return sigma_min
+
+
+def _publish(
+    a, params: DpParams, seed: int, kind, mode: str, lift: bool, check_floor=_check_floor
+) -> PrivateSketch:
+    """Lift A^T or check A's floor, then sketch the columns of A^T.
+
+    The first moment publishes Phi A^T; the second moment maps it back
+    through Phi^T and drops the padding rows.
+    """
+    kind = _require_publishable(kind)
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    if lift:
+        w = params.resolved_w()
+        thr = w_threshold(params.alpha, params.beta, params.r)
+        if w < thr - 1e-12:
+            raise PrivacyPreconditionError(
+                f"lifting magnitude w={w:.6g} below threshold {thr:.6g}",
+                sigma_min=w,
+                threshold=thr,
+            )
+        cols = lift_matrix(a.T, params)
+    else:
+        check_floor(a, params)
+        cols = a.T
+    t, npad = _build_for_columns(kind, cols.shape[0], params.r, seed)
+    data = _sketch_columns(t, npad, cols)
+    if mode == SECOND_MOMENT:
+        data = transforms.apply_transpose_columns(t, data)[: cols.shape[0]]
+    return PrivateSketch(
+        data=data,
+        params=params,
+        mode=mode,
+        transform_kind=kind.describe(),
+        seed=seed,
+        lifted=lift,
+        input_rows=a.shape[0],
+        input_cols=a.shape[1],
+        delta_structural=_delta_structural(kind, params.r, npad),
+        threshold_parts=w_threshold_parts(params.alpha, params.beta, params.r),
+    )
 
 
 def publish_first_moment(
@@ -196,36 +235,7 @@ def publish_first_moment(
     the identity block is stacked first and the floor holds by
     construction).
     """
-    kind = _require_publishable(kind)
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    m, n = a.shape
-    w = params.resolved_w()
-    if params.lift:
-        thr = w_threshold(params.alpha, params.beta, params.r)
-        if w < thr - 1e-12:
-            raise PrivacyPreconditionError(
-                f"lifting magnitude w={w:.6g} below threshold {thr:.6g}",
-                sigma_min=w,
-                threshold=thr,
-            )
-        cols = lift_matrix(a.T, params)
-    else:
-        _check_floor(a, params)
-        cols = a.T
-    t, npad = _build_for_columns(kind, cols.shape[0], params.r, seed)
-    data = _sketch_columns(t, npad, cols)
-    return PrivateSketch(
-        data=data,
-        params=params,
-        mode=FIRST_MOMENT,
-        transform_kind=kind.describe(),
-        seed=seed,
-        lifted=params.lift,
-        input_rows=m,
-        input_cols=n,
-        delta_structural=_delta_structural(kind, params.r, npad),
-        threshold_parts=w_threshold_parts(params.alpha, params.beta, params.r),
-    )
+    return _publish(a, params, seed, kind, FIRST_MOMENT, params.lift)
 
 
 def publish_second_moment(
@@ -235,38 +245,7 @@ def publish_second_moment(
     kind: str | transforms.TransformKind = transforms.NEW_GAUSSIAN,
 ) -> PrivateSketch:
     """Publish Phi^T Phi A^T (the projected second-moment release)."""
-    kind = _require_publishable(kind)
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    m, n = a.shape
-    w = params.resolved_w()
-    if params.lift:
-        thr = w_threshold(params.alpha, params.beta, params.r)
-        if w < thr - 1e-12:
-            raise PrivacyPreconditionError(
-                f"lifting magnitude w={w:.6g} below threshold {thr:.6g}",
-                sigma_min=w,
-                threshold=thr,
-            )
-        cols = lift_matrix(a.T, params)
-    else:
-        _check_floor(a, params)
-        cols = a.T
-    t, npad = _build_for_columns(kind, cols.shape[0], params.r, seed)
-    sketched = _sketch_columns(t, npad, cols)
-    back = transforms.apply_transpose_columns(t, sketched)
-    data = back[: cols.shape[0]]
-    return PrivateSketch(
-        data=data,
-        params=params,
-        mode=SECOND_MOMENT,
-        transform_kind=kind.describe(),
-        seed=seed,
-        lifted=params.lift,
-        input_rows=m,
-        input_cols=n,
-        delta_structural=_delta_structural(kind, params.r, npad),
-        threshold_parts=w_threshold_parts(params.alpha, params.beta, params.r),
-    )
+    return _publish(a, params, seed, kind, SECOND_MOMENT, params.lift)
 
 
 def covariance_query(sketch: PrivateSketch, u: np.ndarray) -> float:
@@ -352,6 +331,24 @@ class CutSketch:
     w_lift: float
 
 
+def _check_cut_floor(a: np.ndarray, params: DpParams) -> None:
+    """Floor check on A = E^T, E the lifted edge matrix.
+
+    The all-ones direction of a Laplacian is always null, so the floor is
+    checked on the complement: every other singular value must clear w.
+    """
+    w = params.resolved_w()
+    if w > 0:
+        e = a.T
+        lam = symmetric_eigenvalues(e.T @ e)
+        if lam[1] < w * w * (1.0 - 1e-9):
+            raise PrivacyPreconditionError(
+                "lifted edge matrix misses the spectral floor off the ones vector",
+                sigma_min=math.sqrt(max(lam[1], 0.0)),
+                threshold=w,
+            )
+
+
 def cut_sketch(
     edges,
     n_vertices: int,
@@ -361,36 +358,12 @@ def cut_sketch(
 ) -> CutSketch:
     """First-moment sketch of the lifted edge matrix.
 
-    The all-ones direction of a Laplacian is always null, so the floor is
-    checked on the complement: every other singular value must clear w.
+    The edge matrix carries its own lifting, so params.lift is not applied
+    again; the floor is checked off the all-ones vector.
     """
-    kind = _require_publishable(kind)
     e = graph_edge_matrix(edges, n_vertices, params)
+    sk = _publish(e.T, params, seed, kind, FIRST_MOMENT, False, _check_cut_floor)
     w = params.resolved_w()
-    if w > 0:
-        from .linalg import symmetric_eigenvalues
-
-        lam = symmetric_eigenvalues(e.T @ e)
-        if lam[1] < w * w * (1.0 - 1e-9):
-            raise PrivacyPreconditionError(
-                "lifted edge matrix misses the spectral floor off the ones vector",
-                sigma_min=math.sqrt(max(lam[1], 0.0)),
-                threshold=w,
-            )
-    t, npad = _build_for_columns(kind, e.shape[0], params.r, seed)
-    data = _sketch_columns(t, npad, e)
-    sk = PrivateSketch(
-        data=data,
-        params=params,
-        mode=FIRST_MOMENT,
-        transform_kind=kind.describe(),
-        seed=seed,
-        lifted=False,
-        input_rows=n_vertices,
-        input_cols=e.shape[0],
-        delta_structural=_delta_structural(kind, params.r, npad),
-        threshold_parts=w_threshold_parts(params.alpha, params.beta, params.r),
-    )
     return CutSketch(sketch=sk, n_vertices=n_vertices, w_lift=w * w)
 
 
@@ -412,6 +385,11 @@ def cut_query(cs: CutSketch, vertex_set) -> float:
 # -- streaming sketches ------------------------------------------------------
 
 
+def _check_width(m: int) -> None:
+    if m < 0:
+        raise DimensionError(f"a sketch cannot have {m} columns")
+
+
 @dataclass
 class StreamSketchMM:
     """Turnstile matrix-multiplication sketch with column replacement."""
@@ -421,9 +399,9 @@ class StreamSketchMM:
     m2: int
     seed: int
     kind: transforms.TransformKind
+    y_a: np.ndarray
+    y_b: np.ndarray
     n_rows: int | None = None
-    y_a: np.ndarray | None = None
-    y_b: np.ndarray | None = None
     columns_seen_a: set = field(default_factory=set)
     columns_seen_b: set = field(default_factory=set)
     _transform: object = None
@@ -434,6 +412,23 @@ class StreamSketchMM:
         return max(self.m1, self.m2)
 
 
+def _sketch_stream_column(sk, e_dim: int, index: int, column: np.ndarray) -> np.ndarray:
+    """Sketch one column lifted at index; the first column fixes the row
+    count and draws the transform."""
+    if sk.n_rows is None:
+        sk.n_rows = column.shape[0]
+        height = _lifted_height(e_dim, sk.n_rows)
+        sk._transform, sk._npad = _build_for_columns(
+            sk.kind, height, sk.params.r, sk.seed
+        )
+    elif column.shape[0] != sk.n_rows:
+        raise DimensionError(
+            f"column has {column.shape[0]} rows, sketch expects {sk.n_rows}"
+        )
+    lifted = _lift_columns(column[:, None], [index], e_dim, sk.params.resolved_w())
+    return _sketch_columns(sk._transform, sk._npad, lifted)[:, 0]
+
+
 def mm_sketch_init(
     params: DpParams,
     m1: int,
@@ -442,22 +437,17 @@ def mm_sketch_init(
     kind: str | transforms.TransformKind = transforms.NEW_GAUSSIAN,
 ) -> StreamSketchMM:
     kind = _require_publishable(kind)
-    return StreamSketchMM(params=params, m1=m1, m2=m2, seed=seed, kind=kind)
-
-
-def _mm_ensure_transform(sk: StreamSketchMM, column: np.ndarray) -> None:
-    if sk.n_rows is None:
-        sk.n_rows = column.shape[0]
-        height = _lifted_height(sk.e_dim, sk.n_rows)
-        sk._transform, sk._npad = _build_for_columns(
-            sk.kind, height, sk.params.r, sk.seed
-        )
-        sk.y_a = np.zeros((sk.params.r, sk.m1))
-        sk.y_b = np.zeros((sk.params.r, sk.m2))
-    elif column.shape[0] != sk.n_rows:
-        raise DimensionError(
-            f"column has {column.shape[0]} rows, sketch expects {sk.n_rows}"
-        )
+    _check_width(m1)
+    _check_width(m2)
+    return StreamSketchMM(
+        params=params,
+        m1=m1,
+        m2=m2,
+        seed=seed,
+        kind=kind,
+        y_a=np.zeros((params.r, m1)),
+        y_b=np.zeros((params.r, m2)),
+    )
 
 
 def mm_sketch_update(
@@ -470,9 +460,7 @@ def mm_sketch_update(
     limit = sk.m1 if side == "A" else sk.m2
     if not 0 <= col_index < limit:
         raise DimensionError(f"column index {col_index} out of range for side {side}")
-    _mm_ensure_transform(sk, column)
-    lifted = _lift_column(column, col_index, sk.e_dim, sk.params.resolved_w())
-    sketched = _sketch_columns(sk._transform, sk._npad, lifted[:, None])[:, 0]
+    sketched = _sketch_stream_column(sk, sk.e_dim, col_index, column)
     if side == "A":
         sk.y_a[:, col_index] = sketched
         sk.columns_seen_a.add(col_index)
@@ -483,8 +471,6 @@ def mm_sketch_update(
 
 def mm_query(sk: StreamSketchMM) -> np.ndarray:
     """Y_A^T Y_B, the sketched estimate of A^T B (plus lift overlap)."""
-    if sk.y_a is None:
-        return np.zeros((sk.m1, sk.m2))
     return sk.y_a.T @ sk.y_b
 
 
@@ -496,8 +482,8 @@ class StreamSketchLR:
     m: int
     seed: int
     kind: transforms.TransformKind
+    y_a: np.ndarray
     n_rows: int | None = None
-    y_a: np.ndarray | None = None
     columns_seen: set = field(default_factory=set)
     _transform: object = None
     _npad: int = 0
@@ -510,26 +496,17 @@ def lr_sketch_init(
     kind: str | transforms.TransformKind = transforms.NEW_GAUSSIAN,
 ) -> StreamSketchLR:
     kind = _require_publishable(kind)
-    return StreamSketchLR(params=params, m=m, seed=seed, kind=kind)
+    _check_width(m)
+    return StreamSketchLR(
+        params=params, m=m, seed=seed, kind=kind, y_a=np.zeros((params.r, m))
+    )
 
 
 def lr_update(sk: StreamSketchLR, col_index: int, column: np.ndarray) -> None:
     column = np.asarray(column, dtype=float)
     if not 0 <= col_index < sk.m:
         raise DimensionError(f"column index {col_index} out of range")
-    if sk.n_rows is None:
-        sk.n_rows = column.shape[0]
-        height = _lifted_height(sk.m, sk.n_rows)
-        sk._transform, sk._npad = _build_for_columns(
-            sk.kind, height, sk.params.r, sk.seed
-        )
-        sk.y_a = np.zeros((sk.params.r, sk.m))
-    elif column.shape[0] != sk.n_rows:
-        raise DimensionError(
-            f"column has {column.shape[0]} rows, sketch expects {sk.n_rows}"
-        )
-    lifted = _lift_column(column, col_index, sk.m, sk.params.resolved_w())
-    sk.y_a[:, col_index] = _sketch_columns(sk._transform, sk._npad, lifted[:, None])[:, 0]
+    sk.y_a[:, col_index] = _sketch_stream_column(sk, sk.m, col_index, column)
     sk.columns_seen.add(col_index)
 
 
@@ -543,8 +520,4 @@ def lr_query(sk: StreamSketchLR, b: np.ndarray, query_index: int = 0) -> np.ndar
     if not sk.columns_seen:
         raise ContractError("lr_query needs at least one streamed column")
     b = np.asarray(b, dtype=float)
-    if b.shape[0] != sk.n_rows:
-        raise DimensionError(f"b has length {b.shape[0]}, expected {sk.n_rows}")
-    lifted = _lift_column(b, query_index, sk.m, sk.params.resolved_w())
-    y_b = _sketch_columns(sk._transform, sk._npad, lifted[:, None])[:, 0]
-    return least_squares(sk.y_a, y_b)
+    return least_squares(sk.y_a, _sketch_stream_column(sk, sk.m, query_index, b))

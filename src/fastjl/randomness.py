@@ -15,6 +15,7 @@ draw.  Per-index rejection on ceil(log2 m) bits provably averages about
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -30,8 +31,8 @@ _U64 = np.uint64
 _BATCH_CAP = 1 << 57
 # Extra rejection bits per batched draw; rejection probability <= 2^-6.
 _BATCH_SLACK = 6
-
-_PLAN_CACHE: dict[int, "_PermutationPlan"] = {}
+# Permutation plans kept for reuse; one at n=65536 holds about 12 MiB.
+_PLAN_CACHE_SIZE = 8
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
@@ -72,11 +73,9 @@ class BitSource:
         self.gaussian_samples_consumed = 0
 
     def _blocks(self, count: int) -> np.ndarray:
-        idx = np.arange(
-            self._block_index, self._block_index + count, dtype=np.uint64
-        )
+        blocks = self._peek_blocks(count)
         self._block_index += count
-        return _mix64(self._key + idx * _GOLDEN)
+        return blocks
 
     def _peek_blocks(self, count: int) -> np.ndarray:
         idx = np.arange(
@@ -300,12 +299,9 @@ class _PermutationPlan:
         self.swap_targets = swap_targets
 
 
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def _permutation_plan(n: int) -> _PermutationPlan:
-    plan = _PLAN_CACHE.get(n)
-    if plan is None:
-        plan = _PermutationPlan(n)
-        _PLAN_CACHE[n] = plan
-    return plan
+    return _PermutationPlan(n)
 
 
 def derive_stream(master_seed: int, trial_index: int) -> BitSource:

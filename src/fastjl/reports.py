@@ -154,11 +154,15 @@ def report_to_dict(report, seed=None, argv=None, deterministic: bool = False) ->
 
 
 def emit_report(report, path, seed=None, argv=None, deterministic: bool = False) -> None:
-    """Write a report as stable-key-ordered JSON."""
+    """Write a report as stable-key-ordered JSON to path, or to stdout when
+    path is None."""
     payload = report_to_dict(report, seed=seed, argv=argv, deterministic=deterministic)
+    text = json.dumps(payload, indent=2, sort_keys=True)
+    if path is None:
+        print(text)
+        return
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load_report(path) -> dict:

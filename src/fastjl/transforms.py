@@ -154,12 +154,13 @@ class SparseGParams:
         return SparseGParams(a=a, b=b, fallback=fallback)
 
 
-@dataclass
+@dataclass(frozen=True)
 class JlTransform:
     """A realized sketching operator.
 
-    Immutable after build (mutation is never part of the public surface);
-    apply is pure and may be shared across workers.
+    Immutable: the fields cannot be reassigned and every factor array (and
+    kw11_signs) is read-only, so apply is pure and one transform may be
+    shared by any number of callers.
     """
 
     kind: TransformKind
@@ -171,6 +172,11 @@ class JlTransform:
     factors: dict = field(repr=False)
     draw_counts: dict = field(default_factory=dict)
     kw11_signs: np.ndarray | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        for value in (*self.factors.values(), self.kw11_signs):
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
 
     @property
     def block_length(self) -> int:
@@ -247,32 +253,24 @@ def build(
         gauss0 = src.gaussian_samples_consumed
 
     scale = 1.0
-    if tag in (NEW_RADEMACHER, NEW_GAUSSIAN):
+    if tag in NEW_TAGS:
         _check_new_shape(n, r, allow_large_r)
+        if tag == NEW_SPARSE_G:
+            params = SparseGParams.compute(n, r, kind.eps, kind.delta)
+            if n % params.b != 0:
+                raise DimensionError(
+                    f"sparse-G block size b={params.b} does not divide n={n}"
+                )
+            factors["g_params"] = params
         factors["signs"] = src.draw_rademacher(n).astype(float)
         mark("signs")
         factors["perm"] = src.sample_permutation(n)
         mark("permutation")
-        t = n // r
         if tag == NEW_GAUSSIAN:
             block = src.draw_gaussian(n)
         else:
             block = src.draw_rademacher(n).astype(float)
-        factors["block"] = block.reshape(r, t)
-        mark("projection")
-    elif tag == NEW_SPARSE_G:
-        _check_new_shape(n, r, allow_large_r)
-        params = SparseGParams.compute(n, r, kind.eps, kind.delta)
-        if n % params.b != 0:
-            raise DimensionError(
-                f"sparse-G block size b={params.b} does not divide n={n}"
-            )
-        factors["g_params"] = params
-        factors["signs"] = src.draw_rademacher(n).astype(float)
-        mark("signs")
-        factors["perm"] = src.sample_permutation(n)
-        mark("permutation")
-        factors["block"] = src.draw_rademacher(n).astype(float).reshape(r, n // r)
+        factors["block"] = block.reshape(r, n // r)
         mark("projection")
     elif tag == DENSE_GAUSSIAN:
         factors["dense"] = src.draw_gaussian(r * n).reshape(r, n)
@@ -383,12 +381,11 @@ def apply_columns(t: JlTransform, x: np.ndarray) -> np.ndarray:
     f = t.factors
     m = x.shape[1]
 
-    if tag in (NEW_RADEMACHER, NEW_GAUSSIAN):
-        y = fwht_normalized(x * f["signs"][:, None])
-        y = y[f["perm"]]
-        out = (y.reshape(t.r, t.block_length, m) * f["block"][:, :, None]).sum(axis=1)
-    elif tag == NEW_SPARSE_G:
-        y = _sparse_g_multiply(x, f["signs"], f["g_params"].b)
+    if tag in NEW_TAGS:
+        if tag == NEW_SPARSE_G:
+            y = _sparse_g_multiply(x, f["signs"], f["g_params"].b)
+        else:
+            y = fwht_normalized(x * f["signs"][:, None])
         y = y[f["perm"]]
         out = (y.reshape(t.r, t.block_length, m) * f["block"][:, :, None]).sum(axis=1)
     elif tag in (DENSE_GAUSSIAN, ACHLIOPTAS_DENSE, ACHLIOPTAS_SPARSE):

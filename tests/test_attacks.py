@@ -73,6 +73,22 @@ class TestPairs:
         with pytest.raises(ParameterRangeError):
             atk.pair_iterated(16, 2.0, 2)
 
+    @pytest.mark.parametrize(
+        "target, name",
+        [
+            ("subsampled-hadamard:2", "bounded-orthonormal"),
+            ("hash-sparse", "hadamard-hash"),
+            ("partial-circulant", "circulant"),
+            ("ailon-liberty:5", "iterated-l5"),
+        ],
+    )
+    def test_pair_for_attacked_kind(self, target, name):
+        pair = atk.pair_for(tr.parse_kind(target), 16, 3.0)
+        assert pair.name == name and pair.w == 3.0
+
+    def test_pair_for_unattacked_kind(self):
+        assert atk.pair_for(tr.parse_kind("dense-gaussian"), 16, 3.0) is None
+
     def test_certificate_violation_detected(self):
         pair = atk.pair_hadamard(16, 2.0)
         with pytest.raises(ContractError):

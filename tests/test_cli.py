@@ -48,6 +48,20 @@ class TestExitCodes:
         assert code == 0
         assert load_matrix_csv(out).shape == (4, 3)
 
+    def test_empty_matrix_publish_is_two(self, tmp_path, capsys):
+        path = tmp_path / "empty.csv"
+        path.write_text("0,3\n")
+        code = run_cli([
+            "dp", "publish", "--matrix", str(path), "--alpha", "1",
+            "--beta", "0.1", "--r", "4", "--out", str(tmp_path / "y.csv"),
+        ])
+        assert code == 2
+
+    def test_unattacked_target_is_usage_error(self, capsys):
+        code = run_cli(["attack", "--target", "dense-gaussian", "--trials", "1000"])
+        assert code == 1
+        assert "no attack defined" in capsys.readouterr().err
+
     def test_resource_error_is_three(self, tmp_path, capsys):
         code = run_cli([
             "gen", "--kind", "new-rademacher", "--n", str(2**15), "--r", "64",

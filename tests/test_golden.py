@@ -77,6 +77,49 @@ def _draw_counts():
     return out
 
 
+def _cut():
+    edges = [
+        (0, 1, 2.0), (1, 2, 1.0), (2, 3, 3.0),
+        (3, 4, 1.5), (4, 5, 0.5), (0, 5, 1.0),
+    ]
+    params = privacy.DpParams(alpha=1.0, beta=0.1, r=4)
+    cs = privacy.cut_sketch(edges, 6, params, seed=17, kind="new-gaussian")
+    queries = [privacy.cut_query(cs, vs) for vs in ([0], [0, 1, 2], [1, 3, 5])]
+    return {"sketch": cs, "queries": queries}
+
+
+def _lr_stream():
+    params = privacy.DpParams(alpha=1.0, beta=0.1, r=16, lift=True)
+    cols = BitSource(23).draw_gaussian(10 * 5).reshape(10, 5)
+    sk = privacy.lr_sketch_init(params, 4, seed=19, kind="new-gaussian")
+    for c in range(4):
+        privacy.lr_update(sk, c, cols[:, c])
+    privacy.lr_update(sk, 2, cols[:, 4])
+    return {"y_a": sk.y_a}
+
+
+# apply_columns of every kind that needs no BLAS matrix product.
+APPLY_DIGESTS = {
+    "new-rademacher": "edd8382e1e2af30dda26176e56f5c1085019fc4b942a1719ba1c1e8a0815198c",
+    "new-gaussian": "3d5fea78fd88d14ee47fa96f5e268d60aa18908d04bbbcedde925f108f7c17d9",
+    "new-sparse-g": "0ecbe2e2cf0174bd1ded4688e482a88e7531285db9743e847a98c09eacb42b8e",
+    "subsampled-hadamard": "0015ac171833a3c159fdb4a6e22a74dd2ffad3933fb57fb5884c7d2be5b79e2a",
+    "partial-circulant": "82c6f672c1b54680a0940f8d1b83f0f3cf03cf61a2699c1f7fc8d1e5fd7bc11c",
+    "hash-sparse": "7c2318f04c5f93e79450237ad5f30cdbeaaa3456975d8b68f42ed0e8e4df10a3",
+    "ailon-liberty": "ba98d3c30e15100e12333d615487c848f8d147e107dc60c9f16cafee87b3dfa4",
+}
+
+
+def _apply(text, i):
+    def case():
+        x = BitSource(50).draw_gaussian(64 * 3).reshape(64, 3)
+        kind = transforms.parse_kind(text)
+        t = transforms.build(kind, 64, 4, BitSource(60 + i), allow_large_r=True)
+        return {"out": transforms.apply_columns(t, x)}
+
+    return case
+
+
 def _fjlt_factors():
     t = transforms.build(transforms.parse_kind("fjlt:0.25"), 64, 4, BitSource(40))
     return {"signs": t.factors["signs"], "dense": t.factors["dense"], "scale": t.scale}
@@ -127,7 +170,33 @@ GOLDEN = {
         _fjlt_factors,
         "c06595a7563e6afc106f8b8e95bbea50620e34e75aa4365435f73a690c1a101b",
     ),
+    "attack-iterated": (
+        _attack(attacks.pair_iterated(64, 10.0, 3)),
+        "45b562bc981bd3bb70689bcbe3bde547cd196bc9837792cf7ed2b5469b7c678a",
+    ),
+    "attack-circulant": (
+        _attack(attacks.pair_circulant(64, 10.0)),
+        "090964b2de7831ab045fe645759727f6afa26f7f2bb20c37c426b4086d1476d4",
+    ),
+    "cut-new-gaussian": (
+        _cut,
+        "0adc463163df86cd1a356d7fdb79ee5619478e5695fad3cf62103cbff9ac228e",
+    ),
+    "lr-stream-new-gaussian": (
+        _lr_stream,
+        "d982972b40136898f5b46f38371e754d3162cfdd32abe8c12e2bc12166d050a2",
+    ),
+    "publish-second-floor-checked": (
+        _publish(privacy.publish_second_moment, lift=False),
+        "055975c8fbd2ada304b638e6a3a5f7aea4681c3acda3fea539dd8211850e13bb",
+    ),
 }
+GOLDEN.update(
+    {
+        f"apply-{text}": (_apply(text, i), digest)
+        for i, (text, digest) in enumerate(APPLY_DIGESTS.items())
+    }
+)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))

@@ -76,15 +76,6 @@ class TestJlpFailureRate:
         q = rep.distortion_quantiles
         assert q["50"] <= q["90"] <= q["99"] <= q["max"]
 
-    def test_workers_reproduce_serial(self):
-        serial = hz.jlp_failure_rate(
-            "new-rademacher", 128, 4, 0.4, "random-unit", 1000, seed=9, workers=1
-        )
-        chunked = hz.jlp_failure_rate(
-            "new-rademacher", 128, 4, 0.4, "random-unit", 1000, seed=9, workers=3
-        )
-        assert serial == chunked
-
 
 class TestInfinityNorm:
     def test_basis_vectors_are_flat(self):

@@ -98,6 +98,10 @@ class TestSpectralExtremes:
         assert lo == pytest.approx(3.0, rel=1e-10)
         assert hi == pytest.approx(5.0, rel=1e-10)
 
+    def test_empty_matrix_rejected(self):
+        with pytest.raises(DimensionError):
+            linalg.spectral_extremes(np.zeros((0, 3)))
+
     def test_gram_paths_agree(self):
         m = BitSource(9).draw_gaussian(24).reshape(4, 6)
         wide = linalg.spectral_extremes(m)
@@ -122,6 +126,10 @@ class TestLeastSquares:
         resid = a @ x - b
         bound = 1e-8 * np.linalg.norm(a) * np.linalg.norm(resid)
         assert np.abs(a.T @ resid).max() <= max(bound, 1e-9)
+
+    def test_zero_columns_rejected(self):
+        with pytest.raises(DimensionError):
+            linalg.least_squares(np.zeros((3, 0)), np.ones(3))
 
     def test_rank_deficient_raises_with_condition(self):
         a = np.ones((4, 2))

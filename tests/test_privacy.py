@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -90,6 +91,12 @@ class TestPublish:
                 pv.publish_first_moment(a, p, seed=s)
             rejected += 1
         assert rejected == 200
+
+    def test_sketch_is_frozen(self):
+        p = pv.DpParams(alpha=1.0, beta=0.1, r=4, lift=True)
+        sk = pv.publish_first_moment(np.eye(4), p, seed=1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sk.lifted = False
 
     def test_accepts_high_spectrum_and_is_deterministic(self):
         p = pv.DpParams(alpha=1.0, beta=0.1, r=4)

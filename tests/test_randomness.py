@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fastjl import randomness
 from fastjl.errors import ParameterRangeError
 from fastjl.randomness import BitSource, derive_stream
 
@@ -133,6 +134,12 @@ class TestPermutation:
         assert np.array_equal(
             BitSource(8, 2).sample_permutation(50), BitSource(8, 2).sample_permutation(50)
         )
+
+    def test_plan_cache_bounded(self):
+        for n in range(2, 4 * randomness._PLAN_CACHE_SIZE):
+            BitSource(1).sample_permutation(n)
+        info = randomness._permutation_plan.cache_info()
+        assert info.currsize <= randomness._PLAN_CACHE_SIZE
 
 
 class TestDeriveStream:

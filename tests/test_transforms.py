@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -106,6 +107,21 @@ class TestOracleEquivalence:
         assert abs(entries.mean()) < 0.02
         assert abs(entries.var() - 1.0) < 0.03
         assert t.scale == pytest.approx(1 / 8.0)
+
+
+class TestImmutable:
+    def test_fields_and_factors_read_only(self):
+        t = tr.build("new-rademacher", 64, 4, BitSource(1))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            t.n = 128
+        with pytest.raises(ValueError):
+            t.factors["signs"][0] = 5.0
+
+    def test_kw11_signs_read_only(self):
+        src = BitSource(2)
+        t = tr.kw11_wrap(tr.build("hash-sparse", 64, 4, src), src)
+        with pytest.raises(ValueError):
+            t.kw11_signs[0] = 5.0
 
 
 class TestPad:
