@@ -174,8 +174,16 @@ def pair_iterated(n: int, w: float, ell: int = 3) -> NeighbourPair:
 
 
 def pair_for(kind: transforms.TransformKind, n: int, w: float) -> NeighbourPair | None:
-    """The pair attacked when kind is the target, or None if no attack targets it."""
+    """The pair attacked when kind is the target, or None if no attack targets it.
+
+    The subsampled-hadamard attack is built for bucket B=2 only; any other
+    bucket raises ParameterRangeError.
+    """
     if kind.tag == transforms.SUBSAMPLED_HADAMARD:
+        if kind.bucket != 2:
+            raise ParameterRangeError(
+                f"the subsampled-hadamard attack supports only bucket B=2, not B={kind.bucket}"
+            )
         return pair_bounded_orthonormal(n, w)
     if kind.tag == transforms.HASH_SPARSE:
         return pair_hadamard(n, w)

@@ -238,11 +238,17 @@ def load_graph_csv(path):
     return rows
 
 
-def _parse_script_line(line: str, sided: bool):
+def _parse_script_line(line: str, sided: bool, lineno: int):
     """(side, column index, column) from "[side,]index,values..."."""
     fields = line.split(",")
     side = fields.pop(0) if sided else None
-    return side, int(fields[0]), np.array([float(v) for v in fields[1:]])
+    try:
+        return side, int(fields[0]), np.array([float(v) for v in fields[1:]])
+    except (IndexError, ValueError) as exc:
+        layout = "side,index,values..." if sided else "index,values..."
+        raise ContractError(
+            f"script line {lineno}: expected {layout}, got {line!r}"
+        ) from exc
 
 
 def _cmd_dp_stream(args) -> int:
@@ -251,8 +257,11 @@ def _cmd_dp_stream(args) -> int:
         w=None if args.lift or not math.isinf(args.alpha) else 0.0,
     )
     with open(args.script) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
-    parsed = [_parse_script_line(ln, sided=args.mode == "mm") for ln in lines]
+        lines = [
+            (no, ln.strip()) for no, ln in enumerate(fh, 1)
+            if ln.strip() and not ln.startswith("#")
+        ]
+    parsed = [_parse_script_line(ln, args.mode == "mm", no) for no, ln in lines]
     if args.mode == "mm":
         m1 = max([0] + [idx + 1 for side, idx, _ in parsed if side == "A"])
         m2 = max([0] + [idx + 1 for side, idx, _ in parsed if side != "A"])

@@ -519,5 +519,7 @@ def lr_query(sk: StreamSketchLR, b: np.ndarray, query_index: int = 0) -> np.ndar
     """
     if not sk.columns_seen:
         raise ContractError("lr_query needs at least one streamed column")
+    if not 0 <= query_index < sk.m:
+        raise DimensionError(f"query index {query_index} out of range")
     b = np.asarray(b, dtype=float)
     return least_squares(sk.y_a, _sketch_stream_column(sk, sk.m, query_index, b))

@@ -1,10 +1,18 @@
 """Deterministic seeded randomness with exact bit/sample accounting.
 
 A BitSource is a counter-based stream built on a 64-bit mixing function
-(splitmix64 finalizer).  Identical (master_seed, stream_id) pairs replay
-identical streams, every consumed random bit is counted, and Gaussian
-draws are counted as samples on a separate counter, so randomness budgets
-are testable artifact properties rather than folklore.
+(splitmix64 finalizer): block i of the stream is mix64(key + i * phi), where
+the key is derived from (master_seed, stream_id).  Identical pairs replay
+identical streams, every consumed random bit is counted, and Gaussian draws
+are counted as samples on a separate counter, so randomness budgets are
+testable artifact properties rather than folklore.
+
+The whole state of a source is four integers: the key, the index of the
+next unread block, the pending word (the unread low bits of the last block
+a bit draw touched) and its bit count, which is below 64.  Bit draws read
+the stream MSB-first within each block, starting with the pending bits;
+Gaussian draws consume whole blocks from the block index on and leave the
+pending bits for the next bit draw.
 
 Uniform permutations are sampled with batched mixed-radix rejection: the
 Fisher-Yates digits for many indices are decoded from one large uniform
@@ -22,7 +30,8 @@ import numpy as np
 
 from .errors import ParameterRangeError
 
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_GOLDEN_INT = 0x9E3779B97F4A7C15
+_GOLDEN = np.uint64(_GOLDEN_INT)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _U64 = np.uint64
@@ -31,6 +40,10 @@ _U64 = np.uint64
 _BATCH_CAP = 1 << 57
 # Extra rejection bits per batched draw; rejection probability <= 2^-6.
 _BATCH_SLACK = 6
+# Largest polar-method batch, in pairs (two 64-bit blocks each).
+_GAUSS_BATCH_CAP = 1 << 16
+# Largest number of draws whose bits draw_uniform_indices holds at once.
+_INDICES_SLICE = 1 << 16
 # Permutation plans kept for reuse; one at n=65536 holds about 12 MiB.
 _PLAN_CACHE_SIZE = 8
 
@@ -50,10 +63,16 @@ def _mix64_int(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _derive_key(master_seed: int, stream_id: int) -> np.uint64:
-    a = _mix64_int((master_seed + 0x9E3779B97F4A7C15) & _MASK)
-    b = _mix64_int((stream_id * 0xBF58476D1CE4E5B9 + 0x9E3779B97F4A7C15) & _MASK)
-    return _U64(_mix64_int(a ^ ((b + 0x9E3779B97F4A7C15) & _MASK)))
+def _derive_key(master_seed: int, stream_id: int) -> int:
+    a = _mix64_int((master_seed + _GOLDEN_INT) & _MASK)
+    b = _mix64_int((stream_id * 0xBF58476D1CE4E5B9 + _GOLDEN_INT) & _MASK)
+    return _mix64_int(a ^ ((b + _GOLDEN_INT) & _MASK))
+
+
+def _int_bits(v: int, n: int) -> np.ndarray:
+    """The n (<= 64) low bits of v as a uint8 array, MSB-first."""
+    word = np.array([v << (64 - n)], dtype=">u8")
+    return np.unpackbits(word.view(np.uint8))[:n]
 
 
 class BitSource:
@@ -68,7 +87,9 @@ class BitSource:
         self.stream_id = int(stream_id) & 0xFFFFFFFFFFFFFFFF
         self._key = _derive_key(self.master_seed, self.stream_id)
         self._block_index = 0
-        self._bit_leftover = np.empty(0, dtype=np.uint8)
+        # Unread low _word_bits bits (0..63) of the last block handed out.
+        self._word = 0
+        self._word_bits = 0
         self.bits_consumed = 0
         self.gaussian_samples_consumed = 0
 
@@ -81,32 +102,63 @@ class BitSource:
         idx = np.arange(
             self._block_index, self._block_index + count, dtype=np.uint64
         )
-        return _mix64(self._key + idx * _GOLDEN)
+        return _mix64(_U64(self._key) + idx * _GOLDEN)
+
+    def _pop_word(self, k: int) -> int:
+        """Top k (<= _word_bits) pending bits as an int."""
+        rest = self._word_bits - k
+        v = self._word >> rest
+        self._word &= (1 << rest) - 1
+        self._word_bits = rest
+        return v
 
     def _take_bits(self, n: int) -> np.ndarray:
         """Next n bits of the stream, MSB-first within each 64-bit block."""
         if n < 0:
             raise ParameterRangeError("bit count must be nonnegative")
         self.bits_consumed += n
-        have = self._bit_leftover.shape[0]
+        have = self._word_bits
         if n <= have:
-            out = self._bit_leftover[:n]
-            self._bit_leftover = self._bit_leftover[n:]
-            return out
+            return _int_bits(self._pop_word(n), n)
         need = n - have
-        blocks = self._blocks((need + 63) // 64)
-        shifts = np.arange(63, -1, -1, dtype=np.uint64)
-        fresh = ((blocks[:, None] >> shifts) & _U64(1)).astype(np.uint8).ravel()
-        out = np.concatenate((self._bit_leftover, fresh[:need]))
-        self._bit_leftover = fresh[need:]
+        count = (need + 63) // 64
+        blocks = self._blocks(count)
+        fresh = np.unpackbits(blocks.astype(">u8").view(np.uint8))[:need]
+        out = np.concatenate((_int_bits(self._word, have), fresh)) if have else fresh
+        self._word_bits = 64 * count - need
+        self._word = int(blocks[-1]) & ((1 << self._word_bits) - 1)
         return out
 
     def _take_bits_as_int(self, k: int) -> int:
-        if k == 0:
-            return 0
-        bits = self._take_bits(k).astype(np.int64)
-        weights = (1 << np.arange(k - 1, -1, -1)).astype(np.int64)
-        return int(bits @ weights)
+        """Next k bits of the stream read as one MSB-first integer."""
+        self.bits_consumed += k
+        v, need = 0, k
+        while need > self._word_bits:
+            v = (v << self._word_bits) | self._word
+            need -= self._word_bits
+            self._word = _mix64_int((self._key + self._block_index * _GOLDEN_INT) & _MASK)
+            self._word_bits = 64
+            self._block_index += 1
+        return (v << need) | self._pop_word(need)
+
+    def _take_words(self, count: int) -> np.ndarray:
+        """Next 64 * count bits of the stream as count uint64 words, each
+        read MSB-first."""
+        self.bits_consumed += 64 * count
+        if count == 0:
+            return np.empty(0, dtype=np.uint64)
+        blocks = self._blocks(count)
+        have = self._word_bits
+        if have == 0:
+            return blocks
+        # Each word is the pending tail of the previous block followed by
+        # the head of the next; the last block's tail stays pending.
+        prev = np.empty(count, dtype=np.uint64)
+        prev[0] = self._word
+        prev[1:] = blocks[:-1]
+        words = (prev << _U64(64 - have)) | (blocks >> _U64(have))
+        self._word = int(blocks[-1]) & ((1 << have) - 1)
+        return words
 
     # -- draw operations ---------------------------------------------------
 
@@ -130,7 +182,7 @@ class BitSource:
         filled = 0
         while filled < n:
             need_pairs = (n - filled + 1) // 2
-            batch = max(16, int(need_pairs * 4 / math.pi * 1.08) + 64)
+            batch = min(max(16, int(need_pairs * 4 / math.pi * 1.08) + 64), _GAUSS_BATCH_CAP)
             raw = self._peek_blocks(2 * batch)
             # 53-bit uniforms; int64 intermediate keeps the conversion on
             # the fast path.
@@ -146,11 +198,19 @@ class BitSource:
             else:
                 used_pairs = batch
             self._block_index += 2 * used_pairs
+            # Only accepted pairs reach log/sqrt.  A pair is selected as one
+            # complex128, and the arithmetic runs in place: fresh temporaries
+            # this size cost more in page faults than the arithmetic itself.
             sel = ok[:used_pairs]
-            s = s[:used_pairs]
-            factor = np.where(sel, np.sqrt(-2.0 * np.log(np.where(sel, s, 0.5)) / s), 0.0)
-            g = (u[:used_pairs] * factor[:, None]).ravel()
-            g = g[np.repeat(sel, 2)]
+            s = s[:used_pairs][sel]
+            factor = np.log(s)
+            factor *= -2.0
+            factor /= s
+            np.sqrt(factor, out=factor)
+            pairs = u.view(np.complex128).ravel()[:used_pairs][sel]
+            g = pairs.view(np.float64).reshape(-1, 2)
+            g *= factor[:, None]
+            g = g.ravel()
             take = min(n - filled, g.shape[0])
             out[filled : filled + take] = g[:take]
             filled += take
@@ -192,13 +252,17 @@ class BitSource:
         pos = 0
         weights = (1 << np.arange(k - 1, -1, -1)).astype(np.int64)
         while pending > 0:
-            bits = self._take_bits(pending * k).astype(np.int64)
-            vals = bits.reshape(pending, k) @ weights
-            good = vals[vals < m]
-            take = good.shape[0]
-            out[pos : pos + take] = good
-            pos += take
-            pending -= take
+            # One rejection round reads pending * k bits, in slices so the
+            # bit array never holds more than _INDICES_SLICE draws.
+            drawn = pending
+            for start in range(0, drawn, _INDICES_SLICE):
+                size = min(_INDICES_SLICE, drawn - start)
+                vals = self._take_bits(size * k).reshape(size, k) @ weights
+                good = vals[vals < m]
+                take = good.shape[0]
+                out[pos : pos + take] = good
+                pos += take
+                pending -= take
         return out
 
     def sample_permutation(self, n: int) -> np.ndarray:
@@ -209,9 +273,8 @@ class BitSource:
         rejected batch draws.
         """
         n = int(n)
-        perm = np.arange(n)
         if n < 2:
-            return perm
+            return np.arange(n)
         plan = _permutation_plan(n)
         bits = self._take_bits(plan.total_bits).astype(np.int64)
         padded = np.append(bits, 0)
@@ -231,10 +294,10 @@ class BitSource:
             col = plan.radix_mat[:, pos]
             digits[:, pos] = u % col
             u //= col
-        flat = digits.ravel()
-        for i, d in zip(plan.swap_targets, flat[plan.digit_mask]):
+        perm = list(range(n))
+        for i, d in zip(plan.swap_targets, digits.ravel()[plan.digit_mask].tolist()):
             perm[i], perm[d] = perm[d], perm[i]
-        return perm
+        return np.array(perm)
 
 
 class _PermutationPlan:

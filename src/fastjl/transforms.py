@@ -295,10 +295,9 @@ def build(
         # fall below p * 2^64; at p = 1 that bound exceeds uint64 and every
         # entry is kept, the bits still being drawn.
         threshold = int(kind.p * 2.0**64)
-        raw = src._take_bits(64 * r * n).astype(np.uint64).reshape(r * n, 64)
+        words = src._take_words(r * n)
         if threshold < 2**64:
-            weights = (np.uint64(1) << np.arange(63, -1, -1, dtype=np.uint64))
-            mask = (raw * weights).sum(axis=1, dtype=np.uint64) < np.uint64(threshold)
+            mask = words < np.uint64(threshold)
         else:
             mask = np.ones(r * n, dtype=bool)
         mark("density_mask")

@@ -3,6 +3,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from fastjl import cli, linalg, transforms
 from fastjl.linalg import load_matrix_csv, save_matrix_csv
@@ -61,6 +62,14 @@ class TestExitCodes:
         code = run_cli(["attack", "--target", "dense-gaussian", "--trials", "1000"])
         assert code == 1
         assert "no attack defined" in capsys.readouterr().err
+
+    def test_unsupported_bucket_attack_is_two(self, capsys):
+        code = run_cli([
+            "attack", "--target", "subsampled-hadamard:4", "--n", "64",
+            "--trials", "1000",
+        ])
+        assert code == 2
+        assert "B=2" in capsys.readouterr().err
 
     def test_resource_error_is_three(self, tmp_path, capsys):
         code = run_cli([
@@ -136,6 +145,16 @@ class TestReports:
         rep = json.loads(out.read_text())["report"]
         assert rep["advantage"] >= 0.2
 
+    def test_bucket_two_attack_report(self, tmp_path, capsys):
+        out = tmp_path / "atk.json"
+        code = run_cli([
+            "attack", "--target", "subsampled-hadamard:2", "--n", "64", "--w", "10",
+            "--trials", "1000", "--seed", "2", "--out", str(out),
+        ])
+        assert code == 0
+        rep = json.loads(out.read_text())["report"]
+        assert rep["target_kind"] == "subsampled-hadamard(B=2)"
+
     def test_bench_report(self, tmp_path, capsys):
         out = tmp_path / "bench.json"
         code = run_cli([
@@ -189,6 +208,23 @@ class TestDpStream:
         assert code == 0
         x = load_matrix_csv(out).ravel()
         assert np.abs(x - [1, 2, 3, 4]).max() < 1e-6
+
+
+    @pytest.mark.parametrize(
+        "mode, bad",
+        [("mm", "A,x,1.0,2.0"), ("mm", "A"), ("lr", ",1.0,2.0")],
+    )
+    def test_malformed_script_line_is_two(self, tmp_path, capsys, mode, bad):
+        good = "A,0,1.0,2.0" if mode == "mm" else "0,1.0,2.0"
+        script = tmp_path / "updates.csv"
+        script.write_text(f"# header\n{good}\n{bad}\n")
+        code = run_cli([
+            "dp", "stream", "--script", str(script), "--mode", mode,
+            "--alpha", "inf", "--beta", "0.1", "--r", "4",
+            "--out", str(tmp_path / "out.csv"),
+        ])
+        assert code == 2
+        assert "line 3" in capsys.readouterr().err
 
 
 class TestDpCut:

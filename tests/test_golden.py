@@ -125,6 +125,42 @@ def _fjlt_factors():
     return {"signs": t.factors["signs"], "dense": t.factors["dense"], "scale": t.scale}
 
 
+def _draw_script():
+    # Interleaved draws at odd bit alignments, so every draw starts both on
+    # and off a 64-bit block boundary; Gaussian draws skip whole blocks and
+    # leave the pending bits for the next bit draw.
+    src = BitSource(77, 5)
+    script = [
+        lambda: src._take_bits(1),
+        lambda: src.draw_gaussian(7),
+        lambda: src._take_bits(63),
+        lambda: src.draw_uniform_index(3),
+        lambda: src._take_bits(65),
+        lambda: src.draw_uniform_indices(6, 100),
+        lambda: src.draw_rademacher(13),
+        lambda: src.sample_permutation(3),
+        lambda: src.draw_gaussian(10),
+        lambda: src.draw_uniform_index(1000),
+        lambda: src._take_bits(1000),
+        lambda: src.draw_uniform_indices(1000, 37),
+        lambda: src.sample_permutation(1024),
+        lambda: src.draw_rademacher(64),
+        lambda: src.draw_gaussian(1),
+        lambda: src._take_bits(1),
+    ]
+    steps = []
+    for draw in script:
+        out = draw()
+        steps.append(
+            {
+                "dtype": str(np.asarray(out).dtype),
+                "out": out,
+                "counters": (src.bits_consumed, src.gaussian_samples_consumed),
+            }
+        )
+    return {"steps": steps}
+
+
 GOLDEN = {
     "jlp-new-gaussian": (
         _jlp("new-gaussian"),
@@ -189,6 +225,10 @@ GOLDEN = {
     "publish-second-floor-checked": (
         _publish(privacy.publish_second_moment, lift=False),
         "055975c8fbd2ada304b638e6a3a5f7aea4681c3acda3fea539dd8211850e13bb",
+    ),
+    "draw-script-interleaved": (
+        _draw_script,
+        "1b8f902dabd734f327f6e3bb3832afed4a691cd7f6333b3bdd2ce612409df397",
     ),
 }
 GOLDEN.update(

@@ -324,6 +324,13 @@ class TestStreamSketches:
         with pytest.raises(ContractError):
             pv.lr_query(sk, np.zeros(4))
 
+    @pytest.mark.parametrize("query_index", [99, -1])
+    def test_lr_query_index_out_of_range(self, query_index):
+        sk = pv.lr_sketch_init(NONPRIVATE, 2, seed=1, kind="dense-gaussian")
+        pv.lr_update(sk, 0, np.ones(4))
+        with pytest.raises(DimensionError):
+            pv.lr_query(sk, np.ones(4), query_index=query_index)
+
     def test_private_lr_deterministic(self):
         p = pv.DpParams(alpha=1.0, beta=0.1, r=64, lift=True)
         outs = []

@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fastjl import randomness
+from fastjl import randomness, transforms
 from fastjl.errors import ParameterRangeError
 from fastjl.randomness import BitSource, derive_stream
 
@@ -159,3 +160,45 @@ class TestDeriveStream:
             bits = derive_stream(77, i).draw_rademacher(64)
             seen.add(bits.tobytes())
         assert len(seen) == 10**4
+
+
+class TestBitCursor:
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.lists(st.tuples(st.sampled_from(["bits", "words", "int"]), st.integers(0, 200)), max_size=8),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_draws_read_the_stream_msb_first(self, seed, ops):
+        # Reference: the stream's blocks written out as 64-bit binary strings.
+        sizes = {"bits": lambda k: k, "words": lambda k: 64 * (k // 40), "int": lambda k: k}
+        total = sum(sizes[op](k) for op, k in ops)
+        blocks = BitSource(seed)._peek_blocks((total + 63) // 64)
+        stream = "".join(format(int(b), "064b") for b in blocks)
+        src = BitSource(seed)
+        pos = 0
+        for op, k in ops:
+            size = sizes[op](k)
+            expected = stream[pos : pos + size]
+            if op == "bits":
+                got = "".join(map(str, src._take_bits(size).tolist()))
+            elif op == "words":
+                words = src._take_words(size // 64)
+                assert words.dtype == np.uint64
+                got = "".join(format(int(w), "064b") for w in words)
+            else:
+                got = format(src._take_bits_as_int(size), f"0{size}b") if size else ""
+            assert got == expected
+            pos += size
+            assert src.bits_consumed == pos
+            assert src._block_index == (pos + 63) // 64
+            assert src._word_bits == src._block_index * 64 - pos
+
+    def test_fjlt_build_memory_bounded(self):
+        kind = transforms.parse_kind("fjlt:0.25")
+        tracemalloc.start()
+        try:
+            transforms.build(kind, 4096, 64, BitSource(3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
