@@ -14,7 +14,6 @@ import argparse
 import math
 import os
 import sys
-import time
 
 import numpy as np
 
@@ -28,7 +27,7 @@ from .errors import (
     SingularMatrixError,
 )
 from .linalg import load_matrix_csv, save_matrix_csv
-from .randomness import BitSource, derive_stream
+from .randomness import BitSource
 from .reports import BenchReport, CutReport, emit_report
 from .transforms import parse_kind
 
@@ -309,19 +308,7 @@ def _cmd_bench(args) -> int:
     while n <= hi:
         sizes.append(n)
         n *= 2
-    medians = []
-    for n in sizes:
-        src = BitSource(args.seed)
-        t = transforms.build(kind, n, args.r, src, allow_large_r=True)
-        x = derive_stream(args.seed, 1).draw_gaussian(n)
-        for _ in range(args.warmups):
-            transforms.apply(t, x)
-        samples = []
-        for _ in range(args.reps):
-            t0 = time.perf_counter_ns()
-            transforms.apply(t, x)
-            samples.append(time.perf_counter_ns() - t0)
-        medians.append(float(np.median(samples)))
+    medians = transforms.apply_median_ns(kind, sizes, args.r, args.seed, args.reps, args.warmups)
     ratios = [medians[i + 1] / medians[i] for i in range(len(medians) - 1)]
     report = BenchReport(
         kind=kind.describe(),

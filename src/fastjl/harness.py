@@ -5,6 +5,14 @@ counts exceedances of the relevant deterministic event, and reports the
 empirical rate next to the closed-form bound it is supposed to respect.
 Bounds are overlays: the harness never asserts them itself; tests freeze
 the comparisons.
+
+The block-kind loops (jlp_failure_rate for new-rademacher and
+new-gaussian, the block-norm checks and infinity_norm_check) run their
+trials in chunks of _CHUNK: each trial still derives its own stream, the
+chunk draws every factor as rows (randomness.draw_*_rows) and applies one
+Hadamard butterfly over its columns.  Each trial's numbers equal those of
+the per-trial loop bit for bit; the per-trial loop stays the reference and
+serves every other kind.
 """
 
 from __future__ import annotations
@@ -16,11 +24,21 @@ from scipy.special import gammainc, gammaincc
 
 from .errors import ContractError, DimensionError, ParameterRangeError
 from .linalg import fwht_normalized, is_power_of_two, symmetric_eigenvalues
-from .randomness import BitSource, derive_stream
+from .randomness import (
+    BitSource,
+    derive_stream,
+    draw_gaussian_rows,
+    draw_rademacher_rows,
+    sample_permutation_rows,
+)
 from .reports import JlpReport, TailCurve, wilson_ci_95
 from . import transforms
 
 FAMILIES = ("basis", "constant", "random-unit", "spike")
+
+# Trials per chunk of the block-kind loops.  A chunk holds a few (K, n)
+# arrays at once, so this bounds the loops' working set.
+_CHUNK = 16
 
 
 def make_family_vector(family: str, n: int, src: BitSource) -> np.ndarray:
@@ -29,8 +47,7 @@ def make_family_vector(family: str, n: int, src: BitSource) -> np.ndarray:
     The spike family puts n^(-1/4) on the first floor(sqrt(n)) coordinates
     (the adversarial near-flat-support vector), renormalized to unit norm.
     """
-    if not is_power_of_two(n):
-        raise DimensionError(f"family vectors need power-of-two n, got {n}")
+    _check_family_n(n)
     if family == "basis":
         x = np.zeros(n)
         x[src.draw_uniform_index(n)] = 1.0
@@ -46,6 +63,84 @@ def make_family_vector(family: str, n: int, src: BitSource) -> np.ndarray:
         x[:k] = n ** -0.25
         return x / np.linalg.norm(x)
     raise ParameterRangeError(f"unknown family {family!r}")
+
+
+def _check_family_n(n: int) -> None:
+    if not is_power_of_two(n):
+        raise DimensionError(f"family vectors need power-of-two n, got {n}")
+
+
+def _family_rows(family: str, n: int, sources: list[BitSource]) -> np.ndarray:
+    """make_family_vector on each source, as the rows of a (K, n) array."""
+    if family != "random-unit":
+        return np.stack([make_family_vector(family, n, src) for src in sources])
+    _check_family_n(n)
+    g = draw_gaussian_rows(sources, n)
+    # One norm per row, as make_family_vector takes it: a norm over axis 1
+    # rounds differently.
+    for row in g:
+        row /= np.linalg.norm(row)
+    return g
+
+
+def _chunk_sources(seed: int, trials: int):
+    """Each chunk's derived streams, one per trial, in trial order."""
+    for start in range(0, trials, _CHUNK):
+        yield start, [derive_stream(seed, i) for i in range(start, min(start + _CHUNK, trials))]
+
+
+def _smoothed_rows(signs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Column k is W (signs_k * x_k), by one butterfly over K columns: (n, K).
+
+    Overwrites x with signs * x.
+    """
+    x *= signs
+    return fwht_normalized(x.T)
+
+
+def _permuted_rows(w: np.ndarray, perms: np.ndarray) -> np.ndarray:
+    """Column k of w gathered by perms[k], as a C-ordered (K, n) array."""
+    return np.take_along_axis(w.T, perms, axis=1)
+
+
+def _block_distortions(tag: str, n: int, r: int, family: str, trials: int, seed: int) -> np.ndarray:
+    """The per-trial distortions of a new-rademacher or new-gaussian loop, by chunks.
+
+    Trial i draws, from derive_stream(seed, i), what transforms.build and
+    make_family_vector draw in the per-trial loop, in the same order:
+    signs, permutation, block, family vector.
+    """
+    transforms.check_size(n, r)
+    transforms.check_block_shape(n, r, allow_large_r=True)
+    t = n // r
+    out = np.empty(trials)
+    for start, sources in _chunk_sources(seed, trials):
+        signs = draw_rademacher_rows(sources, n).astype(np.int8)
+        perms = sample_permutation_rows(sources, n).astype(np.int32)
+        if tag == transforms.NEW_GAUSSIAN:
+            block = draw_gaussian_rows(sources, n)
+        else:
+            block = draw_rademacher_rows(sources, n).astype(np.int8)
+        x = _family_rows(family, n, sources)
+        y = _permuted_rows(_smoothed_rows(signs, x), perms).reshape(-1, r, t)
+        # Block sums reduce a contiguous last axis, as apply_columns does.
+        y *= block.reshape(-1, r, t)
+        sums = y.sum(axis=-1)
+        for k, row in enumerate(sums):
+            out[start + k] = abs(float(row @ row) - 1.0)
+    return out
+
+
+def _trial_distortions(kind, n: int, r: int, family: str, trials: int, seed: int) -> np.ndarray:
+    """The per-trial reference loop: one build, family vector and apply per trial."""
+    out = np.empty(trials)
+    for i in range(trials):
+        src = derive_stream(seed, i)
+        t = transforms.build(kind, n, r, src, allow_large_r=True)
+        x = make_family_vector(family, n, src)
+        y = transforms.apply(t, x)
+        out[i] = abs(float(y @ y) - 1.0)
+    return out
 
 
 def chi_square_interval_tail(r: int, eps: float) -> float:
@@ -72,19 +167,17 @@ def jlp_failure_rate(
     """Empirical probability that | ||Phi x||^2 - 1 | exceeds epsilon.
 
     One fresh transform and one fresh family vector per trial, each from
-    its own derived stream, so reports are reproducible.
+    its own derived stream, so reports are reproducible.  The new-rademacher
+    and new-gaussian trials run in chunks (see the module docstring).
     """
     if trials < 1000:
         raise ParameterRangeError("jlp_failure_rate needs at least 1000 trials")
     if isinstance(kind, str):
         kind = transforms.parse_kind(kind)
-    distortions = np.empty(trials)
-    for i in range(trials):
-        src = derive_stream(seed, i)
-        t = transforms.build(kind, n, r, src, allow_large_r=True)
-        x = make_family_vector(family, n, src)
-        y = transforms.apply(t, x)
-        distortions[i] = abs(float(y @ y) - 1.0)
+    if kind.tag in (transforms.NEW_RADEMACHER, transforms.NEW_GAUSSIAN):
+        distortions = _block_distortions(kind.tag, n, r, family, trials, seed)
+    else:
+        distortions = _trial_distortions(kind, n, r, family, trials, seed)
     failures = int(np.count_nonzero(distortions > epsilon))
     distortions.sort()
     quantiles = {
@@ -127,11 +220,10 @@ def infinity_norm_check(
         {pivot * f for f in (0.6, 0.8, 0.9, 1.0, 1.1, 1.25, 1.5)} | {rigorous}
     )
     maxima = np.empty(trials)
-    for i in range(trials):
-        src = derive_stream(seed, i)
-        signs = src.draw_rademacher(n).astype(float)
-        x = make_family_vector(family, n, src)
-        maxima[i] = np.max(np.abs(fwht_normalized(signs * x)))
+    for start, sources in _chunk_sources(seed, trials):
+        signs = draw_rademacher_rows(sources, n).astype(np.int8)
+        x = _family_rows(family, n, sources)
+        maxima[start : start + len(sources)] = np.abs(_smoothed_rows(signs, x)).max(axis=0)
     emp = [float(np.mean(maxima > rho)) for rho in thresholds]
     bounds = [min(1.0, 2.0 * n * math.exp(-rho * rho * n / 2.0)) for rho in thresholds]
     return TailCurve(
@@ -156,13 +248,13 @@ def _block_sq_norms(n: int, r: int, trials: int, seed: int, family: str) -> np.n
     if n % r != 0:
         raise DimensionError(f"r={r} must divide n={n}")
     out = np.empty((trials, r))
-    for i in range(trials):
-        src = derive_stream(seed, i)
-        signs = src.draw_rademacher(n).astype(float)
-        perm = src.sample_permutation(n)
-        x = make_family_vector(family, n, src)
-        y = fwht_normalized(signs * x)[perm]
-        out[i] = (y.reshape(r, n // r) ** 2).sum(axis=1)
+    for start, sources in _chunk_sources(seed, trials):
+        signs = draw_rademacher_rows(sources, n).astype(np.int8)
+        perms = sample_permutation_rows(sources, n).astype(np.int32)
+        x = _family_rows(family, n, sources)
+        y = _permuted_rows(_smoothed_rows(signs, x), perms).reshape(-1, r, n // r)
+        y *= y
+        out[start : start + len(sources)] = y.sum(axis=-1)
     return out
 
 

@@ -19,6 +19,15 @@ Fisher-Yates digits for many indices are decoded from one large uniform
 draw.  Per-index rejection on ceil(log2 m) bits provably averages about
 1.245 * n * ceil(log2 n) bits at n = 1024, which misses the documented
 1.2 budget; batching lands around 1.13x the entropy and clears it.
+
+Row draws (draw_rademacher_rows, sample_permutation_rows,
+draw_gaussian_rows) make one draw on each of K sources and return the
+results as the rows of a (K, n) array.  Because block i of a stream is a
+pure function of (key, i), the K streams advance together in one mix over
+keys x counters.  Row k equals the scalar draw on source k, and every
+source is left with exactly the state and counters that draw would leave,
+so the harness can run its trials in chunks whose results equal the
+per-trial streams bit for bit.
 """
 
 from __future__ import annotations
@@ -44,14 +53,24 @@ _BATCH_SLACK = 6
 _GAUSS_BATCH_CAP = 1 << 16
 # Largest number of draws whose bits draw_uniform_indices holds at once.
 _INDICES_SLICE = 1 << 16
-# Permutation plans kept for reuse; one at n=65536 holds about 12 MiB.
+# Permutation plans kept for reuse; one at n=65536 holds about 8 MiB.
 _PLAN_CACHE_SIZE = 8
 
 
-def _mix64(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> _U64(30))) * _MIX1
-    z = (z ^ (z >> _U64(27))) * _MIX2
-    return z ^ (z >> _U64(31))
+def _stream_blocks(keys: np.ndarray, first: np.ndarray, count: int) -> np.ndarray:
+    """Blocks first[k] .. first[k] + count - 1 of the stream keyed keys[k]:
+    mix64(key + i * phi) as a (K, count) array, mixed in place."""
+    z = np.arange(count, dtype=np.uint64) + first[:, None]
+    z *= _GOLDEN
+    z += keys[:, None]
+    t = np.empty_like(z)
+    for shift, mult in ((30, _MIX1), (27, _MIX2)):
+        np.right_shift(z, _U64(shift), out=t)
+        z ^= t
+        z *= mult
+    np.right_shift(z, _U64(31), out=t)
+    z ^= t
+    return z
 
 
 _MASK = (1 << 64) - 1
@@ -67,6 +86,42 @@ def _derive_key(master_seed: int, stream_id: int) -> int:
     a = _mix64_int((master_seed + _GOLDEN_INT) & _MASK)
     b = _mix64_int((stream_id * 0xBF58476D1CE4E5B9 + _GOLDEN_INT) & _MASK)
     return _mix64_int(a ^ ((b + _GOLDEN_INT) & _MASK))
+
+
+def _polar_uniforms(raw: np.ndarray) -> np.ndarray:
+    """Blocks as 53-bit uniforms on [-1, 1), overwriting raw.
+
+    The int64 view keeps the conversion on numpy's fast path.
+    """
+    raw >>= _U64(11)
+    u = raw.view(np.float64)
+    np.multiply(raw.view(np.int64), 2.0 ** -52, out=u)
+    u -= 1.0
+    return u
+
+
+def _polar_batch(n: int) -> int:
+    """Pairs drawn in one polar round that still needs n samples."""
+    need_pairs = (n + 1) // 2
+    return min(max(16, int(need_pairs * 4 / math.pi * 1.08) + 64), _GAUSS_BATCH_CAP)
+
+
+def _polar_transform(pairs: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Gaussians from accepted polar pairs, as a flat float array.
+
+    pairs is a contiguous complex128 array of accepted (u, v) pairs and s
+    their u^2 + v^2.  The scalar and the row draws both go through this
+    function, so each sample comes from the same floating-point operations.
+    The arithmetic runs in place: fresh temporaries this size cost more in
+    page faults than the arithmetic itself.
+    """
+    factor = np.log(s)
+    factor *= -2.0
+    factor /= s
+    np.sqrt(factor, out=factor)
+    g = pairs.view(np.float64).reshape(-1, 2)
+    g *= factor[:, None]
+    return g.ravel()
 
 
 def _int_bits(v: int, n: int) -> np.ndarray:
@@ -99,10 +154,8 @@ class BitSource:
         return blocks
 
     def _peek_blocks(self, count: int) -> np.ndarray:
-        idx = np.arange(
-            self._block_index, self._block_index + count, dtype=np.uint64
-        )
-        return _mix64(_U64(self._key) + idx * _GOLDEN)
+        keys, first = _source_states([self])
+        return _stream_blocks(keys, first, count)[0]
 
     def _pop_word(self, k: int) -> int:
         """Top k (<= _word_bits) pending bits as an int."""
@@ -182,14 +235,8 @@ class BitSource:
         filled = 0
         while filled < n:
             need_pairs = (n - filled + 1) // 2
-            batch = min(max(16, int(need_pairs * 4 / math.pi * 1.08) + 64), _GAUSS_BATCH_CAP)
-            raw = self._peek_blocks(2 * batch)
-            # 53-bit uniforms; int64 intermediate keeps the conversion on
-            # the fast path.
-            u = (raw >> _U64(11)).astype(np.int64).astype(np.float64)
-            u *= 2.0 ** -52
-            u -= 1.0
-            u = u.reshape(batch, 2)
+            batch = _polar_batch(n - filled)
+            u = _polar_uniforms(self._peek_blocks(2 * batch)).reshape(batch, 2)
             s = u[:, 0] ** 2 + u[:, 1] ** 2
             ok = (s > 0.0) & (s < 1.0)
             cum = np.cumsum(ok)
@@ -198,19 +245,11 @@ class BitSource:
             else:
                 used_pairs = batch
             self._block_index += 2 * used_pairs
-            # Only accepted pairs reach log/sqrt.  A pair is selected as one
-            # complex128, and the arithmetic runs in place: fresh temporaries
-            # this size cost more in page faults than the arithmetic itself.
+            # Only accepted pairs reach log/sqrt; a pair is selected as one
+            # complex128.
             sel = ok[:used_pairs]
-            s = s[:used_pairs][sel]
-            factor = np.log(s)
-            factor *= -2.0
-            factor /= s
-            np.sqrt(factor, out=factor)
             pairs = u.view(np.complex128).ravel()[:used_pairs][sel]
-            g = pairs.view(np.float64).reshape(-1, 2)
-            g *= factor[:, None]
-            g = g.ravel()
+            g = _polar_transform(pairs, s[:used_pairs][sel])
             take = min(n - filled, g.shape[0])
             out[filled : filled + take] = g[:take]
             filled += take
@@ -275,33 +314,18 @@ class BitSource:
         n = int(n)
         if n < 2:
             return np.arange(n)
-        plan = _permutation_plan(n)
-        bits = self._take_bits(plan.total_bits).astype(np.int64)
-        padded = np.append(bits, 0)
-        vals = padded[plan.gather] @ plan.pow2
-        bad = np.flatnonzero(vals >= plan.accept)
-        for b in bad:
-            kb = int(plan.kbits[b])
-            acc = int(plan.accept[b])
-            while True:
-                v = self._take_bits_as_int(kb)
-                if v < acc:
-                    vals[b] = v
-                    break
-        u = vals % plan.mods
-        digits = np.empty_like(plan.radix_mat)
-        for pos in range(plan.radix_mat.shape[1]):
-            col = plan.radix_mat[:, pos]
-            digits[:, pos] = u % col
-            u //= col
-        perm = list(range(n))
-        for i, d in zip(plan.swap_targets, digits.ravel()[plan.digit_mask].tolist()):
-            perm[i], perm[d] = perm[d], perm[i]
-        return np.array(perm)
+        return sample_permutation_rows([self], n)[0]
 
 
 class _PermutationPlan:
-    """Precomputed batching layout for sample_permutation at one n."""
+    """Precomputed batching layout for sample_permutation at one n.
+
+    Fisher-Yates swaps index i, from n-1 down to 1, with a digit in
+    [0, i].  The digits are grouped into batches whose radix product mod
+    stays within _BATCH_CAP; batch b is one kbits[b]-bit uniform draw,
+    redrawn while it is at or above accept[b], and its digits are the
+    mixed-radix expansion of the draw mod mods[b].
+    """
 
     def __init__(self, n: int):
         batches: list[list[int]] = []
@@ -318,10 +342,13 @@ class _PermutationPlan:
         if current:
             batches.append(current)
 
-        kbits, accepts, mods, lengths = [], [], [], []
-        for batch in batches:
+        kbits, accepts, mods = [], [], []
+        batch_of, prefix = [], []
+        for b, batch in enumerate(batches):
             m = 1
             for i in batch:
+                batch_of.append(b)
+                prefix.append(m)
                 m *= i + 1
             if m & (m - 1) == 0:
                 k = m.bit_length() - 1
@@ -332,34 +359,43 @@ class _PermutationPlan:
             mods.append(m)
             kbits.append(k)
             accepts.append(acc)
-            lengths.append(len(batch))
 
-        nb = len(batches)
-        lmax = max(lengths)
         self.kbits = np.array(kbits, dtype=np.int64)
         self.accept = np.array(accepts, dtype=np.int64)
         self.mods = np.array(mods, dtype=np.int64)
         self.total_bits = int(self.kbits.sum())
-        # Right-aligned gather of each batch's bits into 63 columns; the
-        # sentinel index (= total_bits) reads an appended zero pad.
-        self.gather = np.full((nb, 63), self.total_bits, dtype=np.int64)
-        offset = 0
-        for b, k in enumerate(kbits):
-            self.gather[b, 63 - k :] = np.arange(offset, offset + k)
-            offset += k
-        self.pow2 = (1 << np.arange(62, -1, -1)).astype(np.int64)
-        # Radix matrix padded with 1s; digit j of batch b swaps index
-        # radix_mat[b, j] - 1 ... recorded directly in swap_targets.
-        self.radix_mat = np.ones((nb, lmax), dtype=np.int64)
-        mask = np.zeros((nb, lmax), dtype=bool)
-        swap_targets: list[int] = []
-        for b, batch in enumerate(batches):
-            for pos, i in enumerate(batch):
-                self.radix_mat[b, pos] = i + 1
-                mask[b, pos] = True
-                swap_targets.append(i)
-        self.digit_mask = mask.ravel()
-        self.swap_targets = swap_targets
+        # Batch b's bits start at bit `shift` of stream word `word`; the
+        # window word|next word, shifted left, holds them MSB-first.  A
+        # batch in the last word never reaches the next one, so that index
+        # is clamped.
+        offsets = np.cumsum(self.kbits) - self.kbits
+        last = (self.total_bits - 1) // 64
+        self.word = offsets >> 6
+        self.next_word = np.minimum(self.word + 1, last)
+        self.shift = (offsets & 63).astype(np.uint64)
+        self.drop = (64 - self.kbits).astype(np.uint64)
+        # Swap j exchanges swap_targets[j] with digit
+        # (u[batch_of[j]] // prefix[j]) % (swap_targets[j] + 1).
+        self.batch_of = np.array(batch_of, dtype=np.int64)
+        self.prefix = np.array(prefix, dtype=np.int64)
+        self.swap_targets = [i for batch in batches for i in batch]
+        self.identity = list(range(n))
+        self.radix = np.array(self.swap_targets, dtype=np.int64) + 1
+
+    def batch_values(self, words: np.ndarray) -> np.ndarray:
+        """Each batch's draw from (K, W) stream words: a (K, batches) array."""
+        window = words[:, self.word] << self.shift
+        window |= words[:, self.next_word] >> (_U64(64) - self.shift)
+        window >>= self.drop
+        return window.view(np.int64)
+
+    def digits(self, vals: np.ndarray) -> np.ndarray:
+        """Fisher-Yates digits, in swap order, from accepted batch draws."""
+        u = vals % self.mods
+        d = u[..., self.batch_of]
+        d //= self.prefix
+        d %= self.radix
+        return d
 
 
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
@@ -370,3 +406,125 @@ def _permutation_plan(n: int) -> _PermutationPlan:
 def derive_stream(master_seed: int, trial_index: int) -> BitSource:
     """Child source for one trial: deterministic, distinct per index."""
     return BitSource(master_seed, stream_id=trial_index)
+
+
+def _source_states(sources: list[BitSource]) -> tuple[np.ndarray, np.ndarray]:
+    keys = np.fromiter((s._key for s in sources), np.uint64, len(sources))
+    index = np.fromiter((s._block_index for s in sources), np.uint64, len(sources))
+    return keys, index
+
+
+def _take_row_words(sources: list[BitSource], nbits: int) -> np.ndarray:
+    """The next nbits of each source's stream, as (K, ceil(nbits/64))
+    uint64 words read MSB-first; the last word's unused low bits are junk.
+
+    Each source is advanced exactly as _take_bits(nbits) would advance it.
+    """
+    count = (nbits + 63) // 64
+    if count == 0:
+        return np.empty((len(sources), 0), dtype=np.uint64)
+    keys, index = _source_states(sources)
+    blocks = _stream_blocks(keys, index, count)
+    have = np.fromiter((s._word_bits for s in sources), np.uint64, len(sources))
+    # Word j is the pending tail of block j-1 (the pending word for j = 0)
+    # followed by the head of block j; numpy shifts by 64 give 0.
+    words = blocks >> have[:, None]
+    head = np.empty_like(blocks)
+    head[:, 0] = [s._word for s in sources]
+    head[:, 1:] = blocks[:, :-1]
+    head <<= (_U64(64) - have)[:, None]
+    words |= head
+    for k, src in enumerate(sources):
+        src.bits_consumed += nbits
+        need = nbits - src._word_bits
+        if need <= 0:
+            src._pop_word(nbits)
+            continue
+        fresh = (need + 63) // 64
+        src._word_bits = 64 * fresh - need
+        src._word = int(blocks[k, fresh - 1]) & ((1 << src._word_bits) - 1)
+        src._block_index += fresh
+    return words
+
+
+def draw_rademacher_rows(sources: list[BitSource], n: int) -> np.ndarray:
+    """draw_rademacher(n) on each source, as the rows of a (K, n) array."""
+    n = int(n)
+    words = _take_row_words(sources, n)
+    bits = np.unpackbits(words.astype(">u8").view(np.uint8), axis=1, count=n)
+    signs = bits.astype(np.int64)
+    signs *= -2
+    signs += 1
+    return signs
+
+
+def sample_permutation_rows(sources: list[BitSource], n: int) -> np.ndarray:
+    """sample_permutation(n) on each source, as the rows of a (K, n) array.
+
+    Every row's batches are decoded from one pass over the K streams; a
+    batch draw that is rejected is redrawn from its own source, in batch
+    order, exactly as the scalar draw would.
+    """
+    n = int(n)
+    if n < 2:
+        return np.tile(np.arange(n), (len(sources), 1))
+    plan = _permutation_plan(n)
+    vals = plan.batch_values(_take_row_words(sources, plan.total_bits))
+    for k, b in zip(*np.nonzero(vals >= plan.accept)):
+        kb, acc = int(plan.kbits[b]), int(plan.accept[b])
+        while (v := sources[k]._take_bits_as_int(kb)) >= acc:
+            pass
+        vals[k, b] = v
+    out = np.empty((len(sources), n), dtype=np.int64)
+    targets = plan.swap_targets
+    # The swaps run on a Python list, the fastest sequence to swap in.
+    for row, digits in zip(out, plan.digits(vals)):
+        perm = plan.identity.copy()
+        for i, d in zip(targets, digits.tolist()):
+            perm[i], perm[d] = perm[d], perm[i]
+        row[:] = perm
+    return out
+
+
+def draw_gaussian_rows(sources: list[BitSource], n: int) -> np.ndarray:
+    """draw_gaussian(n) on each source, as the rows of a (K, n) array.
+
+    All rows draw their first polar round together.  A row that round
+    leaves short of n samples (rare) is redrawn by the scalar draw on its
+    own source, whose state the row pass has not touched.
+    """
+    n = int(n)
+    if n == 0 or not sources:
+        return np.empty((len(sources), n))
+    need_pairs = (n + 1) // 2
+    batch = _polar_batch(n)
+    keys, index = _source_states(sources)
+    u = _polar_uniforms(_stream_blocks(keys, index, 2 * batch)).reshape(len(sources), batch, 2)
+    s = u[:, :, 0] ** 2
+    s += u[:, :, 1] ** 2
+    ok = (s > 0.0) & (s < 1.0)
+    cum = np.cumsum(ok, axis=1, dtype=np.int32)
+    full = cum[:, -1] >= need_pairs
+    used = np.argmax(cum >= need_pairs, axis=1) + 1
+    # Each full row's first need_pairs accepted pairs, row by row.
+    ok &= cum <= need_pairs
+    ok &= full[:, None]
+    # The round's arrays go before the arithmetic: they are the largest
+    # part of a harness chunk's working set.
+    del cum
+    pairs = u.view(np.complex128)[:, :, 0][ok]
+    s = s[ok]
+    del u, ok
+    g = _polar_transform(pairs, s).reshape(-1, 2 * need_pairs)
+    if n % 2 == 0 and full.all():
+        out = g
+    else:
+        out = np.empty((len(sources), n))
+        out[full] = g[:, :n]
+    for k, src in enumerate(sources):
+        if full[k]:
+            src._block_index += 2 * int(used[k])
+            src.gaussian_samples_consumed += n
+        else:
+            out[k] = src.draw_gaussian(n)
+    return out

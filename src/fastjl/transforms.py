@@ -15,6 +15,7 @@ out_i = <P_i, block_i(perm(W D x))> with scale 1.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -32,7 +33,7 @@ from .linalg import (
     next_power_of_two,
     require_finite,
 )
-from .randomness import BitSource
+from .randomness import BitSource, derive_stream
 
 _REALIZE_LIMIT = 1 << 14
 
@@ -196,7 +197,16 @@ def pad_to_pow2(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_new_shape(n: int, r: int, allow_large_r: bool) -> None:
+def check_size(n: int, r: int) -> None:
+    """The size checks every kind's build makes first."""
+    if not is_power_of_two(n):
+        raise DimensionError(f"input dimension must be a power of two, got {n}")
+    if r < 1:
+        raise ParameterRangeError("output dimension r must be >= 1")
+
+
+def check_block_shape(n: int, r: int, allow_large_r: bool) -> None:
+    """The block kinds' shape checks, made after check_size."""
     if n % r != 0:
         raise DimensionError(f"r={r} must divide n={n} for the block construction")
     if not allow_large_r and r > math.isqrt(n) // 2:
@@ -232,10 +242,7 @@ def build(
     """
     if isinstance(kind, str):
         kind = TransformKind(kind)
-    if not is_power_of_two(n):
-        raise DimensionError(f"input dimension must be a power of two, got {n}")
-    if r < 1:
-        raise ParameterRangeError("output dimension r must be >= 1")
+    check_size(n, r)
 
     tag = kind.tag
     factors: dict = {}
@@ -254,7 +261,7 @@ def build(
 
     scale = 1.0
     if tag in NEW_TAGS:
-        _check_new_shape(n, r, allow_large_r)
+        check_block_shape(n, r, allow_large_r)
         if tag == NEW_SPARSE_G:
             params = SparseGParams.compute(n, r, kind.eps, kind.delta)
             if n % params.b != 0:
@@ -422,6 +429,35 @@ def apply(t: JlTransform, x: np.ndarray) -> np.ndarray:
     if x.ndim != 1:
         raise DimensionError("apply expects a vector; use apply_columns for matrices")
     return apply_columns(t, x)
+
+
+def apply_median_ns(
+    kind: TransformKind | str,
+    sizes: list[int],
+    r: int,
+    seed: int,
+    reps: int = 50,
+    warmups: int = 5,
+) -> list[float]:
+    """Median wall time of apply, in ns, at each n in sizes.
+
+    The transform is built from BitSource(seed) and applied to a Gaussian
+    vector from derive_stream(seed, 1): warmups untimed calls, then reps
+    calls timed one by one with perf_counter_ns.
+    """
+    medians = []
+    for n in sizes:
+        t = build(kind, n, r, BitSource(seed), allow_large_r=True)
+        x = derive_stream(seed, 1).draw_gaussian(n)
+        for _ in range(warmups):
+            apply(t, x)
+        samples = []
+        for _ in range(reps):
+            t0 = time.perf_counter_ns()
+            apply(t, x)
+            samples.append(time.perf_counter_ns() - t0)
+        medians.append(float(np.median(samples)))
+    return medians
 
 
 def apply_transpose_columns(t: JlTransform, v: np.ndarray) -> np.ndarray:

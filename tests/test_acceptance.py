@@ -23,7 +23,7 @@ from fastjl import rip
 from fastjl import transforms as tr
 from fastjl.errors import PrivacyPreconditionError
 from fastjl.linalg import fwht_normalized, spectral_extremes
-from fastjl.randomness import BitSource, derive_stream
+from fastjl.randomness import derive_stream
 
 SEED = 2024
 
@@ -145,35 +145,19 @@ def test_c05_random_bit_budget():
     )
 
 
-def _bench_apply(tag, sizes, r, reps=50, warmups=5):
-    medians = []
-    for n in sizes:
-        t = tr.build(tag, n, r, BitSource(SEED + 4), allow_large_r=True)
-        x = derive_stream(SEED + 4, 1).draw_gaussian(n)
-        for _ in range(warmups):
-            tr.apply(t, x)
-        samples = []
-        for _ in range(reps):
-            t1 = time.perf_counter_ns()
-            tr.apply(t, x)
-            samples.append(time.perf_counter_ns() - t1)
-        medians.append(float(np.median(samples)))
-    return medians
-
-
 def _bench_apply_one_thread(tag, sizes, r):
-    """_bench_apply in a fresh interpreter with BLAS pinned to one thread.
+    """transforms.apply_median_ns in a fresh interpreter with BLAS pinned
+    to one thread.
 
     OpenBLAS picks its gemv thread count by size (one thread at n=4096, two
     at n=8192 on a 2-core machine), which would time the thread switch
     rather than the apply; the count is fixed before numpy loads.
     """
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    paths = [str(Path(__file__).parent), str(Path(tr.__file__).parents[1])]
-    env["PYTHONPATH"] = os.pathsep.join(paths + [env.get("PYTHONPATH", "")])
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(tr.__file__).parents[1]), env.get("PYTHONPATH", "")])
     code = (
-        "import json, test_acceptance as a; "
-        f"print(json.dumps(a._bench_apply({tag!r}, {sizes!r}, {r})))"
+        "import json; from fastjl import transforms; "
+        f"print(json.dumps(transforms.apply_median_ns({tag!r}, {sizes!r}, {r}, {SEED + 4})))"
     )
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     return json.loads(run.stdout.splitlines()[-1])

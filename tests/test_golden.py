@@ -30,8 +30,8 @@ def _digest(report) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _jlp(kind):
-    return lambda: harness.jlp_failure_rate(kind, 256, 16, 0.5, "random-unit", 1000, 11)
+def _jlp(kind, n=256, r=16, family="random-unit", seed=11):
+    return lambda: harness.jlp_failure_rate(kind, n, r, 0.5, family, 1000, seed)
 
 
 def _attack(pair):
@@ -169,6 +169,44 @@ GOLDEN = {
     "jlp-new-rademacher": (
         _jlp("new-rademacher"),
         "ce0f2532c29e924a8cd68ec53f03961d58fd3b8c3da166513cc227ab785405aa",
+    ),
+    # At n=16 the sign bits leave 48 bits of their block pending, so every
+    # later draw of a trial starts mid-word.
+    "jlp-n16-new-gaussian": (
+        _jlp("new-gaussian", 16, 4, seed=12),
+        "ff900a10bc2404035b404fd033c54a64c8aee5ebb252c25a50135db7de6a81d7",
+    ),
+    "jlp-n16-new-rademacher": (
+        _jlp("new-rademacher", 16, 4, seed=12),
+        "aadf818c27c03c072b7d7f0cd8bbfe5dde2ea82d756f4ad419a424c6b23a86b9",
+    ),
+    "jlp-n1024-basis-new-gaussian": (
+        _jlp("new-gaussian", 1024, 64, "basis", seed=13),
+        "1ced8fa9e7971d50c3ecb7d09b96b49553a2c3e15aa7fbeda740d240ca845883",
+    ),
+    "jlp-n1024-basis-new-rademacher": (
+        _jlp("new-rademacher", 1024, 64, "basis", seed=13),
+        "c8acad9787b773e03c3621cecb3016ec75428b02fb3bdb74429407c62d7189cf",
+    ),
+    "jlp-n1024-spike-new-gaussian": (
+        _jlp("new-gaussian", 1024, 64, "spike", seed=14),
+        "f4daef2e600fab479b6c259ea23ae3b4442bd70f850908ed28a93b5683336d8e",
+    ),
+    "jlp-n1024-spike-new-rademacher": (
+        _jlp("new-rademacher", 1024, 64, "spike", seed=14),
+        "31f27386a59d0dbd12d3b67d8bc01befd4da36238c4ae16e7323b35bd993c792",
+    ),
+    "block-norm-check": (
+        lambda: harness.block_norm_check(64, 4, 0.5, 500, seed=31),
+        "b31c0486ece57436fe4eeca2c2ed1538722bd2c77facd3b34a4f28ed322d8632",
+    ),
+    "block-nonzero-check-basis": (
+        lambda: harness.block_nonzero_check(256, 16, 0.3, 300, seed=32, family="basis"),
+        "a936ce0a0b652454a62ceb374f5e336beb323149793b4d1bc71bdc240327711d",
+    ),
+    "infinity-norm-check": (
+        lambda: harness.infinity_norm_check(128, 0.05, 300, "random-unit", seed=33),
+        "9b58c0817c4092830684fb58a0d1ed93fc28975783e1e367857289301a114e6d",
     ),
     "attack-hash-sparse": (
         _attack(attacks.pair_hadamard(64, 10.0)),

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fastjl import harness as hz
-from fastjl.errors import ContractError, ParameterRangeError
-from fastjl.randomness import BitSource
+from fastjl import transforms
+from fastjl.errors import ContractError, DimensionError, ParameterRangeError
+from fastjl.linalg import fwht_normalized
+from fastjl.randomness import BitSource, derive_stream
 from fastjl.reports import wilson_ci_95
 
 
@@ -29,6 +31,64 @@ class TestFamilies:
     def test_unknown_family(self):
         with pytest.raises(ParameterRangeError):
             hz.make_family_vector("bogus", 8, BitSource(1))
+
+
+class TestChunkedTrials:
+    """The chunked block-kind loops against the per-trial reference.
+
+    Trial counts that are not a multiple of the chunk leave a short last
+    chunk; n = 16 leaves the sign bits mid-word.
+    """
+
+    @pytest.mark.parametrize("tag", ["new-rademacher", "new-gaussian"])
+    @pytest.mark.parametrize(
+        "n, r, family",
+        [(16, 4, "random-unit"), (64, 8, "basis"), (128, 16, "spike"), (256, 4, "constant")],
+    )
+    def test_jlp_distortions_equal_per_trial(self, tag, n, r, family):
+        trials = 2 * hz._CHUNK + 3
+        for seed in (1, 2):
+            chunked = hz._block_distortions(tag, n, r, family, trials, seed)
+            reference = hz._trial_distortions(
+                transforms.parse_kind(tag), n, r, family, trials, seed
+            )
+            assert chunked.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("family", ["random-unit", "basis"])
+    def test_block_sq_norms_equal_per_trial(self, family):
+        n, r, trials, seed = 64, 4, hz._CHUNK + 5, 9
+        reference = np.empty((trials, r))
+        for i in range(trials):
+            src = derive_stream(seed, i)
+            signs = src.draw_rademacher(n).astype(float)
+            perm = src.sample_permutation(n)
+            x = hz.make_family_vector(family, n, src)
+            y = fwht_normalized(signs * x)[perm]
+            reference[i] = (y.reshape(r, n // r) ** 2).sum(axis=1)
+        got = hz._block_sq_norms(n, r, trials, seed, family)
+        assert got.tobytes() == reference.tobytes()
+
+    def test_infinity_norm_equals_per_trial(self):
+        n, delta, trials, seed = 32, 0.1, hz._CHUNK + 7, 4
+        maxima = np.empty(trials)
+        for i in range(trials):
+            src = derive_stream(seed, i)
+            signs = src.draw_rademacher(n).astype(float)
+            x = hz.make_family_vector("random-unit", n, src)
+            maxima[i] = np.max(np.abs(fwht_normalized(signs * x)))
+        curve = hz.infinity_norm_check(n, delta, trials, "random-unit", seed)
+        expected = [float(np.mean(maxima > rho)) for rho in curve.thresholds]
+        assert curve.empirical_exceedance == expected
+
+    def test_errors_match_per_trial(self):
+        for args, error in [
+            (("new-gaussian", 12, 4, "basis"), DimensionError),
+            (("new-gaussian", 16, 3, "basis"), DimensionError),
+            (("new-rademacher", 16, 0, "basis"), ParameterRangeError),
+            (("new-rademacher", 16, 4, "bogus"), ParameterRangeError),
+        ]:
+            with pytest.raises(error):
+                hz.jlp_failure_rate(*args[:3], 0.5, args[3], 1000, 1)
 
 
 class TestChiSquareOracle:

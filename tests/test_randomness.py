@@ -202,3 +202,119 @@ class TestBitCursor:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20
+
+
+def _state(src):
+    return (
+        src._block_index,
+        src._word,
+        src._word_bits,
+        src.bits_consumed,
+        src.gaussian_samples_consumed,
+    )
+
+
+def _twin_sources(seed, prefixes):
+    """Two equal lists of sources, each source advanced by its prefix:
+    (bits, gaussians) drawn before the row draw under test."""
+    twins = []
+    for _ in range(2):
+        sources = []
+        for k, (bits, gaussians) in enumerate(prefixes):
+            src = BitSource(seed, k)
+            src._take_bits(bits)
+            src.draw_gaussian(gaussians)
+            src._take_bits(bits // 3)
+            sources.append(src)
+        twins.append(sources)
+    return twins
+
+
+ROW_DRAWS = {
+    "rademacher": (randomness.draw_rademacher_rows, BitSource.draw_rademacher),
+    "permutation": (randomness.sample_permutation_rows, BitSource.sample_permutation),
+    "gaussian": (randomness.draw_gaussian_rows, BitSource.draw_gaussian),
+}
+
+
+def _assert_rows_match(kind, rows_src, scalar_src, n):
+    rows_draw, scalar_draw = ROW_DRAWS[kind]
+    out = rows_draw(rows_src, n)
+    assert out.shape == (len(rows_src), n)
+    for row, src, twin in zip(out, rows_src, scalar_src):
+        expected = scalar_draw(twin, n)
+        assert row.dtype == expected.dtype
+        assert row.tobytes() == expected.tobytes()
+        assert _state(src) == _state(twin)
+    return out
+
+
+class TestRowDraws:
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.lists(st.tuples(st.integers(0, 300), st.integers(0, 40)), min_size=1, max_size=5),
+        st.lists(
+            st.tuples(st.sampled_from(sorted(ROW_DRAWS)), st.integers(0, 300)),
+            min_size=1,
+            max_size=5,
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_rows_equal_scalar_draws(self, seed, prefixes, draws):
+        # Sources start from mixed states: odd bit counts and Gaussian
+        # draws beforehand put each one mid-word at its own block index.
+        rows_src, scalar_src = _twin_sources(seed, prefixes)
+        for kind, n in draws:
+            _assert_rows_match(kind, rows_src, scalar_src, n)
+
+    def test_permutation_retries_match(self, monkeypatch):
+        # With no slack bits a batch draw is rejected up to half the time,
+        # so most rows redraw some batch through _take_bits_as_int.
+        monkeypatch.setattr(randomness, "_BATCH_SLACK", 0)
+        randomness._permutation_plan.cache_clear()
+        try:
+            n = 100
+            plan = randomness._permutation_plan(n)
+            rows_src, scalar_src = _twin_sources(5, [(k, 0) for k in range(0, 70, 7)])
+            before = [src.bits_consumed for src in rows_src]
+            _assert_rows_match("permutation", rows_src, scalar_src, n)
+            used = [src.bits_consumed - b for src, b in zip(rows_src, before)]
+            assert max(used) > plan.total_bits
+        finally:
+            randomness._permutation_plan.cache_clear()
+
+    @pytest.mark.parametrize("n", [3, 4, 9])
+    def test_second_polar_round_matches(self, monkeypatch, n):
+        # A first round of exactly the pairs needed is short whenever one
+        # pair is rejected; those rows fall back to the scalar draw, which
+        # then runs more rounds.  n = 3 leaves full rows too.
+        monkeypatch.setattr(randomness, "_polar_batch", lambda n: (n + 1) // 2)
+        rows_src, scalar_src = _twin_sources(8, [(k, k % 3) for k in range(12)])
+        before = [src._block_index for src in rows_src]
+        _assert_rows_match("gaussian", rows_src, scalar_src, n)
+        advanced = [src._block_index - b for src, b in zip(rows_src, before)]
+        assert max(advanced) > n + 1
+        if n == 3:
+            assert min(advanced) == n + 1
+
+    def test_empty_rows(self):
+        sources = [BitSource(1, k) for k in range(3)]
+        for kind in ROW_DRAWS:
+            out = ROW_DRAWS[kind][0](sources, 0)
+            assert out.shape == (3, 0)
+        assert [_state(s) for s in sources] == [_state(BitSource(1, k)) for k in range(3)]
+
+    def test_chunk_working_set_bounded(self):
+        # One chunk of new-gaussian trials at the jlp benchmark's size; the
+        # chunk holds a few (K, n) arrays, about 50 KiB per trial.
+        from fastjl import harness
+
+        args = ("new-gaussian", 1024, 64, "random-unit", harness._CHUNK, 3)
+        harness._block_distortions(*args)
+        tracemalloc.start()
+        try:
+            harness._block_distortions(*args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < harness._CHUNK * 64 * 2**10
