@@ -345,6 +345,12 @@ def _cmd_selftest(args) -> int:
         np.allclose(fwht_normalized(np.array([1.0, 0.0])), [1 / math.sqrt(2)] * 2),
         "fwht of length 2",
     )
+    # 40 columns of length 4096 run through three column blocks.
+    x = BitSource(args.seed).draw_gaussian(4096 * 40).reshape(4096, 40)
+    check(
+        np.abs(fwht_normalized(fwht_normalized(x)) - x).max() < 1e-12,
+        "fwht involution over column blocks",
+    )
     check(np.allclose(symmetric_eigenvalues(np.eye(3)), [1, 1, 1]), "eigenvalues of I")
     check(spectral_extremes(np.zeros((3, 3))) == (0.0, 0.0), "singular values of 0")
     b = np.array([0.0, 2.0])

@@ -1,11 +1,23 @@
 """Dense matrix/vector kernels shared by every other module.
 
-Everything here is deterministic and pure: the in-place fast Walsh-Hadamard
+Everything here is deterministic and pure: the fast Walsh-Hadamard
 butterfly, symmetric eigenvalues, extreme singular values and least squares
 through LAPACK (numpy.linalg), and circular convolution through the real FFT
 (numpy.fft).
 
 Hadamard matrices are never materialized; only the butterfly is exposed.
+It has the constant geometry of Pease's FFT ("An adaptation of the fast
+Fourier transform for parallel processing", JACM 1968).  Columns go
+through in blocks of about _BLOCK_BYTES, each copied once, transposed,
+into a (columns, n) buffer.  Every stage reads the adjacent pairs
+(2i, 2i+1) of each row and writes a+b to index i and a-b to index i + n/2
+of a second buffer; the two buffers swap roles after each stage, and no
+stage allocates.  Writing to i + n/2 rotates the index bits right by one,
+so stage s pairs the entries whose original indices differ in bit s, and
+after log2(n) stages the output is in natural order.  Stage s thus adds
+and subtracts the same two partial sums, lower index first, as the
+in-place stage h = 2^s that pairs (i, i + h), and the result, divided by
+sqrt(n) after the last stage, is the same to the last bit.
 """
 
 from __future__ import annotations
@@ -34,32 +46,63 @@ def require_finite(a: np.ndarray, what: str = "input") -> np.ndarray:
     return a
 
 
-def fwht_normalized(v: np.ndarray) -> np.ndarray:
+# Bytes of one column block of the butterfly.  Its two (columns, n) buffers
+# take twice this, so a block stays in one core's L2 cache.
+_BLOCK_BYTES = 512 * 1024
+
+
+def fwht_normalized(v: np.ndarray, signs: np.ndarray | None = None) -> np.ndarray:
     """Orthonormal Walsh-Hadamard transform W @ v, entries of W are +-1/sqrt(n).
 
     Accepts a vector of power-of-two length, or a matrix whose axis-0 length
     is a power of two (each column is transformed).  O(n log n) butterfly;
-    the transform is an involution.
+    the transform is an involution.  With signs, a length-n vector, returns
+    W @ diag(signs) @ v, with each product formed as in v * signs[:, None].
+    Returns a new C-ordered float64 array of the input's shape; the input is
+    never written.
     """
-    a = np.array(v, dtype=float, copy=True, order="C")
+    a = np.asarray(v, dtype=float)
+    if a.ndim not in (1, 2):
+        raise DimensionError(f"fwht expects a vector or a matrix, got shape {a.shape}")
     n = a.shape[0]
     if not is_power_of_two(n):
         raise DimensionError(f"fwht length must be a power of two, got {n}")
-    flat_vector = a.ndim == 1
-    if flat_vector:
-        a = a[:, None]
-    cols = a.shape[1]
-    h = 1
-    while h < n:
-        pairs = a.reshape(n // (2 * h), 2, h, cols)
-        top = pairs[:, 0]
-        bot = pairs[:, 1]
-        diff = top - bot
-        top += bot
-        bot[...] = diff
-        h *= 2
-    a /= math.sqrt(n)
-    return a[:, 0] if flat_vector else a
+    if signs is not None and np.shape(signs) != (n,):
+        raise DimensionError(f"fwht signs have shape {np.shape(signs)}, expected ({n},)")
+    x = a[:, None] if a.ndim == 1 else a
+    m = x.shape[1]
+    out = np.empty(a.shape)
+    y = out.reshape(n, m)
+    half = n // 2
+    scale = math.sqrt(n)
+    stages = n.bit_length() - 1
+    width = max(1, _BLOCK_BYTES // (8 * n))
+    front = np.empty((min(width, m), n))
+    if m == 1:
+        # One column is laid out as a (1, n) buffer already, so the result
+        # serves as the buffer the last stage writes, and a vector costs one
+        # scratch buffer, not two.
+        front, back = out.reshape(1, n), front
+        if stages % 2:
+            front, back = back, front
+    else:
+        back = np.empty_like(front)
+    for c0 in range(0, m, width):
+        c1 = min(c0 + width, m)
+        src, dst = front[: c1 - c0], back[: c1 - c0]
+        if signs is None:
+            src[...] = x[:, c0:c1].T
+        else:
+            np.multiply(x[:, c0:c1].T, signs, out=src)
+        # Pairs (2i, 2i+1) go to (i, i + n/2); see the module docstring for
+        # why the output lands in natural order with the same bits.
+        for _ in range(stages):
+            even, odd = src[:, 0::2], src[:, 1::2]
+            np.add(even, odd, out=dst[:, :half])
+            np.subtract(even, odd, out=dst[:, half:])
+            src, dst = dst, src
+        np.divide(src.T, scale, out=y[:, c0:c1])
+    return out
 
 
 def symmetric_eigenvalues(m: np.ndarray) -> np.ndarray:

@@ -391,35 +391,40 @@ def apply_columns(t: JlTransform, x: np.ndarray) -> np.ndarray:
         if tag == NEW_SPARSE_G:
             y = _sparse_g_multiply(x, f["signs"], f["g_params"].b)
         else:
-            y = fwht_normalized(x * f["signs"][:, None])
+            y = fwht_normalized(x, f["signs"])
         y = y[f["perm"]]
         out = (y.reshape(t.r, t.block_length, m) * f["block"][:, :, None]).sum(axis=1)
     elif tag in (DENSE_GAUSSIAN, ACHLIOPTAS_DENSE, ACHLIOPTAS_SPARSE):
         out = f["dense"] @ x
     elif tag == FJLT:
-        y = fwht_normalized(x * f["signs"][:, None])
+        y = fwht_normalized(x, f["signs"])
         out = f["dense"] @ y
     elif tag == SUBSAMPLED_HADAMARD:
         y = fwht_normalized(x)[f["rows"]]
         out = (y.reshape(t.r, t.kind.bucket, m) * f["sigma"][:, :, None]).sum(axis=1)
     elif tag == PARTIAL_CIRCULANT:
-        out = circular_convolve(f["generator"], x * f["signs"][:, None])[: t.r]
+        # A copy, so that the result does not keep all n convolved rows alive.
+        out = circular_convolve(f["generator"], x * f["signs"][:, None])[: t.r].copy()
     elif tag == HASH_SPARSE:
-        y = fwht_normalized(x * f["signs"][:, None])
-        out = np.zeros((t.r, m))
-        np.add.at(out, f["hash"], y * f["hash_signs"][:, None])
+        y = fwht_normalized(x, f["signs"])
+        y *= f["hash_signs"][:, None]
+        # bincount adds each row's entries in input order from 0.0, as
+        # np.add.at does, at a fraction of its cost.
+        out = np.empty((t.r, m))
+        for c in range(m):
+            out[:, c] = np.bincount(f["hash"], weights=y[:, c], minlength=t.r)
     elif tag == AILON_LIBERTY:
         # H W D1 W D2 ... W Dl with H a subsampled rescaled Hadamard; the
         # subsample's own rows collapse against the leading W, leaving a
         # row selection of the sign-layered chain.
-        y = x * f["layers"][-1][:, None]
-        for layer in f["layers"][-2::-1]:
-            y = fwht_normalized(y) * layer[:, None]
-        out = y[f["rows"]]
+        y = x
+        for layer in f["layers"][:0:-1]:
+            y = fwht_normalized(y, layer)
+        out = y[f["rows"]] * f["layers"][0][f["rows"], None]
     else:  # pragma: no cover
         raise ParameterRangeError(f"unhandled tag {tag}")
 
-    out = out * t.scale
+    out *= t.scale
     return out[:, 0] if squeeze else out
 
 

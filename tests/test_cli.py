@@ -25,6 +25,19 @@ class TestExitCodes:
         assert run_cli(["selftest", "--seed", "7"]) == 2
         assert "convolution with a delta" in capsys.readouterr().err
 
+    def test_selftest_catches_a_broken_column_block(self, capsys, monkeypatch):
+        real = linalg.fwht_normalized
+
+        def last_block_broken(v):
+            out = real(v)
+            if out.ndim == 2 and out.shape[1] > 32:
+                out[:, 32:] = 0.0
+            return out
+
+        monkeypatch.setattr(linalg, "fwht_normalized", last_block_broken)
+        assert run_cli(["selftest", "--seed", "7"]) == 2
+        assert "fwht involution over column blocks" in capsys.readouterr().err
+
     def test_usage_error_is_one(self, capsys):
         assert run_cli(["gen", "--bogus"]) == 1
 

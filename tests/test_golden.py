@@ -19,7 +19,7 @@ import json
 import numpy as np
 import pytest
 
-from fastjl import attacks, harness, privacy, transforms
+from fastjl import attacks, harness, linalg, privacy, transforms
 from fastjl.randomness import BitSource
 from fastjl.reports import report_to_dict
 
@@ -116,6 +116,25 @@ def _apply(text, i):
         kind = transforms.parse_kind(text)
         t = transforms.build(kind, 64, 4, BitSource(60 + i), allow_large_r=True)
         return {"out": transforms.apply_columns(t, x)}
+
+    return case
+
+
+def _apply_large(text, i):
+    # n=65536 puts one column in each of the butterfly's column blocks.
+    def case():
+        x = BitSource(51).draw_gaussian(65536 * 8).reshape(65536, 8)
+        kind = transforms.parse_kind(text)
+        t = transforms.build(kind, 65536, 64, BitSource(70 + i))
+        return {"out": transforms.apply_columns(t, x)}
+
+    return case
+
+
+def _fwht(shape, view, seed):
+    def case():
+        x = BitSource(seed).draw_gaussian(int(np.prod(shape))).reshape(shape)
+        return {"out": linalg.fwht_normalized(view(x))}
 
     return case
 
@@ -273,6 +292,37 @@ GOLDEN.update(
     {
         f"apply-{text}": (_apply(text, i), digest)
         for i, (text, digest) in enumerate(APPLY_DIGESTS.items())
+    }
+)
+# Butterfly inputs that fill one column block or span several, in
+# every layout its callers pass: a 65536-vector, a C-order matrix, the
+# harness's F-order transpose and a strided column view.
+GOLDEN.update(
+    {
+        "fwht-65536-vector": (
+            _fwht((65536,), lambda x: x, 80),
+            "e4479cb4c0ff1f77f5a98ea91a7cea530a5f2720e4a3efa2e90004dab6732e32",
+        ),
+        "fwht-65536x8": (
+            _fwht((65536, 8), lambda x: x, 81),
+            "974602850a3a6daac5ed80ad33a1131b860d1523c50693771112c767d899b2bf",
+        ),
+        "fwht-1024x16-transposed": (
+            _fwht((16, 1024), lambda x: x.T, 82),
+            "0714b0bdfbfb0c0857629270630d2a6009e490587ea510e0c44b62b54dfb8c29",
+        ),
+        "fwht-4096x40-strided": (
+            _fwht((4096, 80), lambda x: x[:, ::2], 83),
+            "4cf80082c4f883cf98013fbf961c3d58f23fc6852cb4720008d311c0d3f55132",
+        ),
+        "apply-n65536-hash-sparse": (
+            _apply_large("hash-sparse", 0),
+            "9449c1b0abb62f44f685479d75c79fe259ef78e01dc3971518e5116b31021477",
+        ),
+        "apply-n65536-ailon-liberty:3": (
+            _apply_large("ailon-liberty:3", 1),
+            "b13ec500cfcb2681c8629782f4fe01f3aeccf2abaf4ea0f4a5eac99668c5a0ba",
+        ),
     }
 )
 

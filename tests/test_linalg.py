@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,49 @@ def dense_hadamard(n):
     while h.shape[0] < n:
         h = np.block([[h, h], [h, -h]])
     return h / math.sqrt(n)
+
+
+def _reference_fwht(v):
+    """The in-place butterfly that fwht_normalized replaced: stage h adds
+    the pairs (i, i + h) over the whole (n, m) array, lower index first."""
+    a = np.array(v, dtype=float, copy=True, order="C")
+    n = a.shape[0]
+    flat_vector = a.ndim == 1
+    if flat_vector:
+        a = a[:, None]
+    cols = a.shape[1]
+    h = 1
+    while h < n:
+        pairs = a.reshape(n // (2 * h), 2, h, cols)
+        top = pairs[:, 0]
+        bot = pairs[:, 1]
+        diff = top - bot
+        top += bot
+        bot[...] = diff
+        h *= 2
+    a /= math.sqrt(n)
+    return a[:, 0] if flat_vector else a
+
+
+@st.composite
+def _fwht_inputs(draw):
+    """A vector or matrix of power-of-two length in any layout and dtype."""
+    n = 1 << draw(st.integers(0, 12))
+    m = draw(st.none() | st.integers(0, 70))
+    layout = draw(st.sampled_from(["C", "F", "strided"]))
+    dtype = draw(st.sampled_from([np.float64, np.float32, np.int64]))
+    shape = (n,) if m is None else (n, m)
+    base_shape = tuple(2 * d + 1 for d in shape) if layout == "strided" else shape
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if dtype == np.int64:
+        base = rng.integers(-1000, 1000, size=base_shape)
+    else:
+        base = rng.standard_normal(base_shape).astype(dtype)
+    if layout == "F":
+        base = np.asfortranarray(base)
+    elif layout == "strided":
+        base = base[tuple(slice(1, None, 2) for _ in shape)]
+    return base
 
 
 class TestFwht:
@@ -47,6 +91,59 @@ class TestFwht:
     def test_involution_property(self, log_n, seed):
         v = BitSource(seed).draw_gaussian(1 << log_n)
         assert np.abs(linalg.fwht_normalized(linalg.fwht_normalized(v)) - v).max() < 1e-10
+
+    @given(_fwht_inputs(), st.none() | st.integers(0, 9), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_bits_match_reference_butterfly(self, x, width, signed):
+        """Same bytes as the stage-by-stage butterfly, in a fresh array, for
+        any layout, dtype and column blocking, with and without signs; width
+        0 asks for blocks smaller than one column, which still hold one."""
+        before = x.copy()
+        n = x.shape[0]
+        signs = BitSource(n).draw_rademacher(n).astype(float) if signed else None
+        with pytest.MonkeyPatch.context() as mp:
+            if width is not None:
+                mp.setattr(linalg, "_BLOCK_BYTES", 8 * n * width)
+            out = linalg.fwht_normalized(x, signs)
+        if signed:
+            scaled = np.asarray(x, dtype=float)
+            expected = _reference_fwht(scaled * (signs if x.ndim == 1 else signs[:, None]))
+        else:
+            expected = _reference_fwht(x)
+        assert out.dtype == np.float64 and out.shape == x.shape
+        assert out.flags.c_contiguous and out.flags.writeable
+        assert not np.shares_memory(out, x)
+        assert out.tobytes() == expected.tobytes()
+        assert np.array_equal(x, before) and x.dtype == before.dtype
+
+    def test_vector_input_not_written(self):
+        # A vector's one-column block is already contiguous when transposed;
+        # the butterfly must still work on its own copy.
+        v = np.arange(8.0)
+        out = linalg.fwht_normalized(v)
+        assert np.array_equal(v, np.arange(8.0))
+        assert not np.shares_memory(out, v)
+
+    def test_other_ranks_rejected(self):
+        for bad in (np.float64(1.0), np.ones((2, 2, 2))):
+            with pytest.raises(DimensionError):
+                linalg.fwht_normalized(bad)
+
+    def test_signs_of_wrong_length_rejected(self):
+        with pytest.raises(DimensionError):
+            linalg.fwht_normalized(np.ones((4, 2)), np.ones(2))
+
+    def test_memory_stays_near_output_size(self):
+        # The (65536, 8) result is 4 MiB; the butterfly adds two column-block
+        # buffers, not a temporary per stage.
+        x = BitSource(4).draw_gaussian(65536 * 8).reshape(65536, 8)
+        tracemalloc.start()
+        try:
+            linalg.fwht_normalized(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20
 
     def test_batch_matches_columns(self):
         x = BitSource(5).draw_gaussian(32).reshape(16, 2)
