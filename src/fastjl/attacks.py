@@ -297,10 +297,7 @@ def distinguisher(
 
 
 def _default_probe(pair: NeighbourPair, r: int) -> tuple:
-    tag = pair.target_kind.tag
-    if tag == transforms.SUBSAMPLED_HADAMARD:
-        return ((0, 1), (0, 1))
-    if tag == transforms.AILON_LIBERTY:
+    if pair.target_kind.tag in (transforms.SUBSAMPLED_HADAMARD, transforms.AILON_LIBERTY):
         return ((0, 1), (0, 1))
     # block events scan every output row of the two designated columns
     return (tuple(range(r)), (0, 1))

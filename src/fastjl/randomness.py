@@ -24,10 +24,14 @@ Row draws (draw_rademacher_rows, sample_permutation_rows,
 draw_gaussian_rows) make one draw on each of K sources and return the
 results as the rows of a (K, n) array.  Because block i of a stream is a
 pure function of (key, i), the K streams advance together in one mix over
-keys x counters.  Row k equals the scalar draw on source k, and every
-source is left with exactly the state and counters that draw would leave,
-so the harness can run its trials in chunks whose results equal the
-per-trial streams bit for bit.
+keys x counters.  The scalar draws draw_rademacher, draw_gaussian and
+sample_permutation are the one-row case of these, so row k is by
+construction what source k draws alone, and every source is left with the
+state and counters that draw leaves; the harness can run its trials in
+chunks whose results equal the per-trial streams bit for bit.  Every array
+of bits comes from one reader, _take_row_words, and every Gaussian from
+one polar round, _polar_round; only the scalar index draws read bits
+through a Python-int reservoir (_take_bits_as_int).
 """
 
 from __future__ import annotations
@@ -55,14 +59,29 @@ _GAUSS_BATCH_CAP = 1 << 16
 _INDICES_SLICE = 1 << 16
 # Permutation plans kept for reuse; one at n=65536 holds about 8 MiB.
 _PLAN_CACHE_SIZE = 8
+# Largest block request mixed as Python ints: below about a dozen blocks,
+# the scalar mix beats the fixed cost of the dozen array operations.
+_SCALAR_MIX_BLOCKS = 8
 
 
-def _stream_blocks(keys: np.ndarray, first: np.ndarray, count: int) -> np.ndarray:
-    """Blocks first[k] .. first[k] + count - 1 of the stream keyed keys[k]:
-    mix64(key + i * phi) as a (K, count) array, mixed in place."""
-    z = np.arange(count, dtype=np.uint64) + first[:, None]
+def _stream_blocks(sources: list[BitSource], count: int) -> np.ndarray:
+    """Blocks i .. i + count - 1 of each source's stream, i its block index,
+    as a (K, count) array of mix64(key + i * phi).  No source advances.
+
+    Up to _SCALAR_MIX_BLOCKS blocks are mixed as Python ints; larger
+    requests are mixed in place over one keys x counters array.
+    """
+    if len(sources) * count <= _SCALAR_MIX_BLOCKS:
+        blocks = [
+            _mix64_int((s._key + i * _GOLDEN_INT) & _MASK)
+            for s in sources
+            for i in range(s._block_index, s._block_index + count)
+        ]
+        return np.array(blocks, dtype=np.uint64).reshape(len(sources), count)
+    first = [(s._key + s._block_index * _GOLDEN_INT) & _MASK for s in sources]
+    z = np.arange(count, dtype=np.uint64)
     z *= _GOLDEN
-    z += keys[:, None]
+    z = z + np.array(first, dtype=np.uint64)[:, None]
     t = np.empty_like(z)
     for shift, mult in ((30, _MIX1), (27, _MIX2)):
         np.right_shift(z, _U64(shift), out=t)
@@ -110,10 +129,8 @@ def _polar_transform(pairs: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Gaussians from accepted polar pairs, as a flat float array.
 
     pairs is a contiguous complex128 array of accepted (u, v) pairs and s
-    their u^2 + v^2.  The scalar and the row draws both go through this
-    function, so each sample comes from the same floating-point operations.
-    The arithmetic runs in place: fresh temporaries this size cost more in
-    page faults than the arithmetic itself.
+    their u^2 + v^2.  The arithmetic runs in place: fresh temporaries this
+    size cost more in page faults than the arithmetic itself.
     """
     factor = np.log(s)
     factor *= -2.0
@@ -122,12 +139,6 @@ def _polar_transform(pairs: np.ndarray, s: np.ndarray) -> np.ndarray:
     g = pairs.view(np.float64).reshape(-1, 2)
     g *= factor[:, None]
     return g.ravel()
-
-
-def _int_bits(v: int, n: int) -> np.ndarray:
-    """The n (<= 64) low bits of v as a uint8 array, MSB-first."""
-    word = np.array([v << (64 - n)], dtype=">u8")
-    return np.unpackbits(word.view(np.uint8))[:n]
 
 
 class BitSource:
@@ -148,15 +159,6 @@ class BitSource:
         self.bits_consumed = 0
         self.gaussian_samples_consumed = 0
 
-    def _blocks(self, count: int) -> np.ndarray:
-        blocks = self._peek_blocks(count)
-        self._block_index += count
-        return blocks
-
-    def _peek_blocks(self, count: int) -> np.ndarray:
-        keys, first = _source_states([self])
-        return _stream_blocks(keys, first, count)[0]
-
     def _pop_word(self, k: int) -> int:
         """Top k (<= _word_bits) pending bits as an int."""
         rest = self._word_bits - k
@@ -167,20 +169,7 @@ class BitSource:
 
     def _take_bits(self, n: int) -> np.ndarray:
         """Next n bits of the stream, MSB-first within each 64-bit block."""
-        if n < 0:
-            raise ParameterRangeError("bit count must be nonnegative")
-        self.bits_consumed += n
-        have = self._word_bits
-        if n <= have:
-            return _int_bits(self._pop_word(n), n)
-        need = n - have
-        count = (need + 63) // 64
-        blocks = self._blocks(count)
-        fresh = np.unpackbits(blocks.astype(">u8").view(np.uint8))[:need]
-        out = np.concatenate((_int_bits(self._word, have), fresh)) if have else fresh
-        self._word_bits = 64 * count - need
-        self._word = int(blocks[-1]) & ((1 << self._word_bits) - 1)
-        return out
+        return _take_row_bits([self], n)[0]
 
     def _take_bits_as_int(self, k: int) -> int:
         """Next k bits of the stream read as one MSB-first integer."""
@@ -197,28 +186,13 @@ class BitSource:
     def _take_words(self, count: int) -> np.ndarray:
         """Next 64 * count bits of the stream as count uint64 words, each
         read MSB-first."""
-        self.bits_consumed += 64 * count
-        if count == 0:
-            return np.empty(0, dtype=np.uint64)
-        blocks = self._blocks(count)
-        have = self._word_bits
-        if have == 0:
-            return blocks
-        # Each word is the pending tail of the previous block followed by
-        # the head of the next; the last block's tail stays pending.
-        prev = np.empty(count, dtype=np.uint64)
-        prev[0] = self._word
-        prev[1:] = blocks[:-1]
-        words = (prev << _U64(64 - have)) | (blocks >> _U64(have))
-        self._word = int(blocks[-1]) & ((1 << have) - 1)
-        return words
+        return _take_row_words([self], 64 * count)[0]
 
     # -- draw operations ---------------------------------------------------
 
     def draw_rademacher(self, n: int) -> np.ndarray:
         """n independent +-1 signs; consumes exactly n bits."""
-        bits = self._take_bits(int(n))
-        return 1 - 2 * bits.astype(np.int64)
+        return draw_rademacher_rows([self], n)[0]
 
     def draw_gaussian(self, n: int) -> np.ndarray:
         """n i.i.d. N(0,1) samples by the polar rejection method.
@@ -228,33 +202,7 @@ class BitSource:
         untouched.  An odd request discards the second half of its final
         accepted pair.
         """
-        n = int(n)
-        if n == 0:
-            return np.empty(0)
-        out = np.empty(n)
-        filled = 0
-        while filled < n:
-            need_pairs = (n - filled + 1) // 2
-            batch = _polar_batch(n - filled)
-            u = _polar_uniforms(self._peek_blocks(2 * batch)).reshape(batch, 2)
-            s = u[:, 0] ** 2 + u[:, 1] ** 2
-            ok = (s > 0.0) & (s < 1.0)
-            cum = np.cumsum(ok)
-            if cum[-1] >= need_pairs:
-                used_pairs = int(np.searchsorted(cum, need_pairs) + 1)
-            else:
-                used_pairs = batch
-            self._block_index += 2 * used_pairs
-            # Only accepted pairs reach log/sqrt; a pair is selected as one
-            # complex128.
-            sel = ok[:used_pairs]
-            pairs = u.view(np.complex128).ravel()[:used_pairs][sel]
-            g = _polar_transform(pairs, s[:used_pairs][sel])
-            take = min(n - filled, g.shape[0])
-            out[filled : filled + take] = g[:take]
-            filled += take
-        self.gaussian_samples_consumed += n
-        return out
+        return draw_gaussian_rows([self], n)[0]
 
     def draw_uniform_index(self, m: int) -> int:
         """Uniform draw from {0, ..., m-1} by rejection on ceil(log2 m) bits.
@@ -282,6 +230,7 @@ class BitSource:
         m = int(m)
         if m < 1:
             raise ParameterRangeError("m must be >= 1")
+        count = _draw_count(count)
         out = np.empty(count, dtype=np.int64)
         if m == 1:
             out[:] = 0
@@ -311,9 +260,6 @@ class BitSource:
         draws; the bit counter reflects total consumption including
         rejected batch draws.
         """
-        n = int(n)
-        if n < 2:
-            return np.arange(n)
         return sample_permutation_rows([self], n)[0]
 
 
@@ -408,24 +354,28 @@ def derive_stream(master_seed: int, trial_index: int) -> BitSource:
     return BitSource(master_seed, stream_id=trial_index)
 
 
-def _source_states(sources: list[BitSource]) -> tuple[np.ndarray, np.ndarray]:
-    keys = np.fromiter((s._key for s in sources), np.uint64, len(sources))
-    index = np.fromiter((s._block_index for s in sources), np.uint64, len(sources))
-    return keys, index
+def _draw_count(n: int) -> int:
+    """A draw's size as an int; a negative size is a ParameterRangeError."""
+    n = int(n)
+    if n < 0:
+        raise ParameterRangeError(f"draw size must be nonnegative, got {n}")
+    return n
 
 
 def _take_row_words(sources: list[BitSource], nbits: int) -> np.ndarray:
     """The next nbits of each source's stream, as (K, ceil(nbits/64))
     uint64 words read MSB-first; the last word's unused low bits are junk.
 
-    Each source is advanced exactly as _take_bits(nbits) would advance it.
+    This is the one bit reader behind every array draw.  Each source's
+    pending bits come first, and each source is left holding the unread
+    tail of the last block its bits reached.
     """
+    nbits = _draw_count(nbits)
     count = (nbits + 63) // 64
     if count == 0:
         return np.empty((len(sources), 0), dtype=np.uint64)
-    keys, index = _source_states(sources)
-    blocks = _stream_blocks(keys, index, count)
-    have = np.fromiter((s._word_bits for s in sources), np.uint64, len(sources))
+    blocks = _stream_blocks(sources, count)
+    have = np.array([s._word_bits for s in sources], dtype=np.uint64)
     # Word j is the pending tail of block j-1 (the pending word for j = 0)
     # followed by the head of block j; numpy shifts by 64 give 0.
     words = blocks >> have[:, None]
@@ -447,12 +397,15 @@ def _take_row_words(sources: list[BitSource], nbits: int) -> np.ndarray:
     return words
 
 
+def _take_row_bits(sources: list[BitSource], n: int) -> np.ndarray:
+    """The next n bits of each source's stream, as a (K, n) uint8 array."""
+    words = _take_row_words(sources, n)
+    return np.unpackbits(words.astype(">u8").view(np.uint8), axis=1, count=int(n))
+
+
 def draw_rademacher_rows(sources: list[BitSource], n: int) -> np.ndarray:
     """draw_rademacher(n) on each source, as the rows of a (K, n) array."""
-    n = int(n)
-    words = _take_row_words(sources, n)
-    bits = np.unpackbits(words.astype(">u8").view(np.uint8), axis=1, count=n)
-    signs = bits.astype(np.int64)
+    signs = _take_row_bits(sources, n).astype(np.int64)
     signs *= -2
     signs += 1
     return signs
@@ -463,9 +416,9 @@ def sample_permutation_rows(sources: list[BitSource], n: int) -> np.ndarray:
 
     Every row's batches are decoded from one pass over the K streams; a
     batch draw that is rejected is redrawn from its own source, in batch
-    order, exactly as the scalar draw would.
+    order.
     """
-    n = int(n)
+    n = _draw_count(n)
     if n < 2:
         return np.tile(np.arange(n), (len(sources), 1))
     plan = _permutation_plan(n)
@@ -486,45 +439,66 @@ def sample_permutation_rows(sources: list[BitSource], n: int) -> np.ndarray:
     return out
 
 
-def draw_gaussian_rows(sources: list[BitSource], n: int) -> np.ndarray:
-    """draw_gaussian(n) on each source, as the rows of a (K, n) array.
+def _polar_round(
+    sources: list[BitSource], n: int, batch: int
+) -> tuple[np.ndarray, list[int], list[int]]:
+    """One polar round of batch pairs on each of K sources, for rows that
+    still need n samples.  No source advances.
 
-    All rows draw their first polar round together.  A row that round
-    leaves short of n samples (rare) is redrawn by the scalar draw on its
-    own source, whose state the row pass has not touched.
+    Row k reads the 2 * batch blocks from its block index on and keeps its
+    first min(accepted, ceil(n / 2)) accepted pairs.  Returns their
+    Gaussians, row after row in one flat array, the pairs each row kept,
+    and the pairs each row used: up to its last kept pair, or the whole
+    batch when the row falls short.
     """
-    n = int(n)
-    if n == 0 or not sources:
-        return np.empty((len(sources), n))
     need_pairs = (n + 1) // 2
-    batch = _polar_batch(n)
-    keys, index = _source_states(sources)
-    u = _polar_uniforms(_stream_blocks(keys, index, 2 * batch)).reshape(len(sources), batch, 2)
+    u = _polar_uniforms(_stream_blocks(sources, 2 * batch)).reshape(len(sources), batch, 2)
     s = u[:, :, 0] ** 2
     s += u[:, :, 1] ** 2
     ok = (s > 0.0) & (s < 1.0)
     cum = np.cumsum(ok, axis=1, dtype=np.int32)
-    full = cum[:, -1] >= need_pairs
-    used = np.argmax(cum >= need_pairs, axis=1) + 1
-    # Each full row's first need_pairs accepted pairs, row by row.
+    kept = [min(c, need_pairs) for c in cum[:, -1].tolist()]
+    # The pairs before a row's need_pairs-th acceptance; batch when short.
+    before = (cum < need_pairs).sum(axis=1).tolist()
+    used = [min(b + 1, batch) for b in before]
     ok &= cum <= need_pairs
-    ok &= full[:, None]
     # The round's arrays go before the arithmetic: they are the largest
     # part of a harness chunk's working set.
     del cum
+    # Only kept pairs reach log/sqrt; a pair is selected as one complex128.
     pairs = u.view(np.complex128)[:, :, 0][ok]
     s = s[ok]
     del u, ok
-    g = _polar_transform(pairs, s).reshape(-1, 2 * need_pairs)
-    if n % 2 == 0 and full.all():
-        out = g
+    return _polar_transform(pairs, s), kept, used
+
+
+def draw_gaussian_rows(sources: list[BitSource], n: int) -> np.ndarray:
+    """draw_gaussian(n) on each source, as the rows of a (K, n) array.
+
+    All rows draw their first polar round together.  A row that round
+    leaves short of n samples keeps what it drew and continues, one round
+    at a time, on its own source.
+    """
+    n = _draw_count(n)
+    if n == 0 or not sources:
+        return np.empty((len(sources), n))
+    g, kept, used = _polar_round(sources, n, _polar_batch(n))
+    got = [min(2 * k, n) for k in kept]
+    if min(got) == n:
+        out = g.reshape(len(sources), -1)[:, :n]
     else:
         out = np.empty((len(sources), n))
-        out[full] = g[:, :n]
-    for k, src in enumerate(sources):
-        if full[k]:
-            src._block_index += 2 * int(used[k])
-            src.gaussian_samples_consumed += n
-        else:
-            out[k] = src.draw_gaussian(n)
-    return out
+        ends = np.cumsum([2 * k for k in kept])
+        for row, piece, m in zip(out, np.split(g, ends[:-1]), got):
+            row[:m] = piece[:m]
+    for src, row, filled, pairs in zip(sources, out, got, used):
+        src._block_index += 2 * pairs
+        src.gaussian_samples_consumed += n
+        while filled < n:
+            rest = n - filled
+            piece, _, (advanced,) = _polar_round([src], rest, _polar_batch(rest))
+            take = min(rest, piece.size)
+            row[filled : filled + take] = piece[:take]
+            src._block_index += 2 * advanced
+            filled += take
+    return np.ascontiguousarray(out)

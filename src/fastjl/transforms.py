@@ -103,10 +103,6 @@ class TransformKind:
         return self.tag + extras.get(self.tag, lambda: "")()
 
 
-def kind(tag: str, **params) -> TransformKind:
-    return TransformKind(tag, **params)
-
-
 def parse_kind(text: str) -> TransformKind:
     """Parse CLI-style kind strings, e.g. "new-rademacher", "fjlt:0.25",
     "subsampled-hadamard:2", "ailon-liberty:3", "new-sparse-g:0.5,0.05"."""

@@ -144,6 +144,26 @@ def _fjlt_factors():
     return {"signs": t.factors["signs"], "dense": t.factors["dense"], "scale": t.scale}
 
 
+def _long_draw(draw, lead_bits, seed):
+    # The lead bits start the draw mid-word; the trailing bits show what the
+    # draw left pending.
+    def case():
+        src = BitSource(seed, 1)
+        src._take_bits(lead_bits)
+        out = draw(src)
+        tail = src._take_bits(70)
+        counters = (src.bits_consumed, src.gaussian_samples_consumed, src._block_index)
+        return {"out": out, "tail": tail, "counters": counters}
+
+    return case
+
+
+def _dense_gaussian_factors():
+    # 262,144 samples: the polar draw runs three rounds.
+    t = transforms.build(transforms.parse_kind("dense-gaussian"), 4096, 64, BitSource(42))
+    return {"dense": t.factors["dense"], "scale": t.scale, "draw_counts": t.draw_counts}
+
+
 def _draw_script():
     # Interleaved draws at odd bit alignments, so every draw starts both on
     # and off a 64-bit block boundary; Gaussian draws skip whole blocks and
@@ -286,6 +306,20 @@ GOLDEN = {
     "draw-script-interleaved": (
         _draw_script,
         "1b8f902dabd734f327f6e3bb3832afed4a691cd7f6333b3bdd2ce612409df397",
+    ),
+    # The first polar round (65,536 pairs) falls short of 150,001 pairs, so
+    # later rounds continue the draw.
+    "draw-gaussian-300001-odd-bits": (
+        _long_draw(lambda src: src.draw_gaussian(300001), 37, 90),
+        "a77f6f0f731abaf4af6c432d046640917df732b08224481ae74fe29dd2f327a9",
+    ),
+    "draw-rademacher-65537-mid-word": (
+        _long_draw(lambda src: src.draw_rademacher(65537), 29, 91),
+        "fc7699978352e2f5ca8f227f68e2691851a1b60dfaf032b072261ce08729a0ad",
+    ),
+    "dense-gaussian-n4096-factors": (
+        _dense_gaussian_factors,
+        "a9bb9ac5c2de78015f5106f5a070a2612153850ff4409cd0d5ec81cf0a4c5d9f",
     ),
 }
 GOLDEN.update(

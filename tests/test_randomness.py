@@ -172,7 +172,7 @@ class TestBitCursor:
         # Reference: the stream's blocks written out as 64-bit binary strings.
         sizes = {"bits": lambda k: k, "words": lambda k: 64 * (k // 40), "int": lambda k: k}
         total = sum(sizes[op](k) for op, k in ops)
-        blocks = BitSource(seed)._peek_blocks((total + 63) // 64)
+        blocks = _reference_blocks(BitSource(seed), (total + 63) // 64)
         stream = "".join(format(int(b), "064b") for b in blocks)
         src = BitSource(seed)
         pos = 0
@@ -192,6 +192,18 @@ class TestBitCursor:
             assert src.bits_consumed == pos
             assert src._block_index == (pos + 63) // 64
             assert src._word_bits == src._block_index * 64 - pos
+
+    @pytest.mark.parametrize("sources, count", [(1, 1), (1, 8), (2, 4), (1, 9), (3, 3), (5, 40)])
+    def test_stream_blocks_match_reference(self, sources, count):
+        # Requests on both sides of _SCALAR_MIX_BLOCKS, from sources at
+        # different block indices.
+        srcs = [BitSource(6, k) for k in range(sources)]
+        for k, src in enumerate(srcs):
+            src._take_bits(64 * k + 5)
+        blocks = randomness._stream_blocks(srcs, count)
+        assert blocks.dtype == np.uint64 and blocks.shape == (sources, count)
+        for row, src in zip(blocks, srcs):
+            assert np.array_equal(row, _reference_blocks(src, count))
 
     def test_fjlt_build_memory_bounded(self):
         kind = transforms.parse_kind("fjlt:0.25")
@@ -214,11 +226,11 @@ def _state(src):
     )
 
 
-def _twin_sources(seed, prefixes):
-    """Two equal lists of sources, each source advanced by its prefix:
+def _twin_sources(seed, prefixes, copies=2):
+    """Equal lists of sources, each source advanced by its prefix:
     (bits, gaussians) drawn before the row draw under test."""
     twins = []
-    for _ in range(2):
+    for _ in range(copies):
         sources = []
         for k, (bits, gaussians) in enumerate(prefixes):
             src = BitSource(seed, k)
@@ -230,23 +242,146 @@ def _twin_sources(seed, prefixes):
     return twins
 
 
+# Independent scalar references for the row draws: the bit-unpacking reader,
+# the polar loop and the mixed-radix permutation decode written out one
+# source at a time, so the row path is never checked against itself.
+
+
+def _reference_blocks(src, count):
+    """Blocks from src's block index on, without advancing it: the
+    splitmix64 finalizer of key + i * phi, mod 2^64."""
+    mask = (1 << 64) - 1
+    out = []
+    for i in range(src._block_index, src._block_index + count):
+        z = (src._key + i * 0x9E3779B97F4A7C15) & mask
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        out.append(z ^ (z >> 31))
+    return np.array(out, dtype=np.uint64)
+
+
+def _reference_int_bits(v, n):
+    word = np.array([v << (64 - n)], dtype=">u8")
+    return np.unpackbits(word.view(np.uint8))[:n]
+
+
+def _reference_take_bits(src, n):
+    src.bits_consumed += n
+    have = src._word_bits
+    if n <= have:
+        src._word_bits = have - n
+        v = src._word >> src._word_bits
+        src._word &= (1 << src._word_bits) - 1
+        return _reference_int_bits(v, n)
+    need = n - have
+    count = (need + 63) // 64
+    blocks = _reference_blocks(src, count)
+    src._block_index += count
+    fresh = np.unpackbits(blocks.astype(">u8").view(np.uint8))[:need]
+    out = np.concatenate((_reference_int_bits(src._word, have), fresh)) if have else fresh
+    src._word_bits = 64 * count - need
+    src._word = int(blocks[-1]) & ((1 << src._word_bits) - 1)
+    return out
+
+
+def _reference_rademacher(src, n):
+    return 1 - 2 * _reference_take_bits(src, n).astype(np.int64)
+
+
+def _reference_gaussian(src, n):
+    out = np.empty(n)
+    filled = 0
+    while filled < n:
+        need_pairs = (n - filled + 1) // 2
+        batch = randomness._polar_batch(n - filled)
+        u = randomness._polar_uniforms(_reference_blocks(src, 2 * batch)).reshape(batch, 2)
+        s = u[:, 0] ** 2 + u[:, 1] ** 2
+        ok = (s > 0.0) & (s < 1.0)
+        cum = np.cumsum(ok)
+        if cum[-1] >= need_pairs:
+            used_pairs = int(np.searchsorted(cum, need_pairs) + 1)
+        else:
+            used_pairs = batch
+        src._block_index += 2 * used_pairs
+        sel = ok[:used_pairs]
+        pairs = u.view(np.complex128).ravel()[:used_pairs][sel]
+        g = randomness._polar_transform(pairs, s[:used_pairs][sel])
+        take = min(n - filled, g.shape[0])
+        out[filled : filled + take] = g[:take]
+        filled += take
+    src.gaussian_samples_consumed += n
+    return out
+
+
+def _reference_permutation(src, n):
+    if n < 2:
+        return np.arange(n)
+    plan = randomness._permutation_plan(n)
+    bits = "".join(map(str, _reference_take_bits(src, plan.total_bits).tolist()))
+    offsets = np.cumsum(plan.kbits) - plan.kbits
+    vals = [int(bits[o : o + k], 2) for o, k in zip(offsets, plan.kbits)]
+    # Rejected batch draws are redrawn after the whole batch read, in order.
+    for b, (k, acc) in enumerate(zip(plan.kbits.tolist(), plan.accept.tolist())):
+        while vals[b] >= acc:
+            vals[b] = int("".join(map(str, _reference_take_bits(src, k).tolist())), 2)
+    perm = list(range(n))
+    residue = [v % m for v, m in zip(vals, plan.mods.tolist())]
+    for b, i in zip(plan.batch_of.tolist(), plan.swap_targets):
+        residue[b], d = divmod(residue[b], i + 1)
+        perm[i], perm[d] = perm[d], perm[i]
+    return np.array(perm)
+
+
+# kind -> (row draw, independent reference, scalar draw).
 ROW_DRAWS = {
-    "rademacher": (randomness.draw_rademacher_rows, BitSource.draw_rademacher),
-    "permutation": (randomness.sample_permutation_rows, BitSource.sample_permutation),
-    "gaussian": (randomness.draw_gaussian_rows, BitSource.draw_gaussian),
+    "rademacher": (
+        randomness.draw_rademacher_rows,
+        _reference_rademacher,
+        BitSource.draw_rademacher,
+    ),
+    "permutation": (
+        randomness.sample_permutation_rows,
+        _reference_permutation,
+        BitSource.sample_permutation,
+    ),
+    "gaussian": (randomness.draw_gaussian_rows, _reference_gaussian, BitSource.draw_gaussian),
 }
 
 
-def _assert_rows_match(kind, rows_src, scalar_src, n):
-    rows_draw, scalar_draw = ROW_DRAWS[kind]
+def _assert_rows_match(kind, rows_src, ref_src, n):
+    rows_draw, reference, _ = ROW_DRAWS[kind]
     out = rows_draw(rows_src, n)
     assert out.shape == (len(rows_src), n)
-    for row, src, twin in zip(out, rows_src, scalar_src):
-        expected = scalar_draw(twin, n)
+    for row, src, twin in zip(out, rows_src, ref_src):
+        expected = reference(twin, n)
         assert row.dtype == expected.dtype
         assert row.tobytes() == expected.tobytes()
         assert _state(src) == _state(twin)
     return out
+
+
+NEGATIVE_DRAWS = {
+    "draw_rademacher": lambda src: src.draw_rademacher(-5),
+    "draw_gaussian": lambda src: src.draw_gaussian(-3),
+    "draw_uniform_indices": lambda src: src.draw_uniform_indices(4, -2),
+    "draw_uniform_indices_m1": lambda src: src.draw_uniform_indices(1, -2),
+    "sample_permutation": lambda src: src.sample_permutation(-2),
+    "_take_bits": lambda src: src._take_bits(-1),
+    "_take_words": lambda src: src._take_words(-1),
+    "draw_rademacher_rows": lambda src: randomness.draw_rademacher_rows([src], -5),
+    "draw_gaussian_rows": lambda src: randomness.draw_gaussian_rows([src], -3),
+    "sample_permutation_rows": lambda src: randomness.sample_permutation_rows([src], -2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NEGATIVE_DRAWS))
+def test_negative_draw_size_rejected(name):
+    src = BitSource(4)
+    src._take_bits(13)
+    before = _state(src)
+    with pytest.raises(ParameterRangeError):
+        NEGATIVE_DRAWS[name](src)
+    assert _state(src) == before
 
 
 class TestRowDraws:
@@ -263,9 +398,15 @@ class TestRowDraws:
     def test_rows_equal_scalar_draws(self, seed, prefixes, draws):
         # Sources start from mixed states: odd bit counts and Gaussian
         # draws beforehand put each one mid-word at its own block index.
-        rows_src, scalar_src = _twin_sources(seed, prefixes)
+        # Each row must equal the reference draw, and so must the scalar
+        # draw, which is the one-row case of the row draw.
+        rows_src, ref_src, scalar_src = _twin_sources(seed, prefixes, copies=3)
         for kind, n in draws:
-            _assert_rows_match(kind, rows_src, scalar_src, n)
+            out = _assert_rows_match(kind, rows_src, ref_src, n)
+            scalar_draw = ROW_DRAWS[kind][2]
+            for row, src, twin in zip(out, scalar_src, ref_src):
+                assert scalar_draw(src, n).tobytes() == row.tobytes()
+                assert _state(src) == _state(twin)
 
     def test_permutation_retries_match(self, monkeypatch):
         # With no slack bits a batch draw is rejected up to half the time,
@@ -286,10 +427,12 @@ class TestRowDraws:
     @pytest.mark.parametrize("n", [3, 4, 9])
     def test_second_polar_round_matches(self, monkeypatch, n):
         # A first round of exactly the pairs needed is short whenever one
-        # pair is rejected; those rows fall back to the scalar draw, which
-        # then runs more rounds.  n = 3 leaves full rows too.
+        # pair is rejected; those rows keep the round's samples and run
+        # more rounds on their own source, never through the scalar draw.
+        # n = 3 leaves full rows too.
         monkeypatch.setattr(randomness, "_polar_batch", lambda n: (n + 1) // 2)
         rows_src, scalar_src = _twin_sources(8, [(k, k % 3) for k in range(12)])
+        monkeypatch.setattr(BitSource, "draw_gaussian", None)
         before = [src._block_index for src in rows_src]
         _assert_rows_match("gaussian", rows_src, scalar_src, n)
         advanced = [src._block_index - b for src, b in zip(rows_src, before)]
