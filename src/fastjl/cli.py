@@ -18,14 +18,7 @@ import sys
 import numpy as np
 
 from . import attacks, harness, privacy, rip, transforms
-from .errors import (
-    ContractError,
-    DimensionError,
-    ParameterRangeError,
-    PrivacyPreconditionError,
-    ResourceError,
-    SingularMatrixError,
-)
+from .errors import ContractError, FastJlError, ResourceError
 from .linalg import load_matrix_csv, save_matrix_csv
 from .randomness import BitSource
 from .reports import BenchReport, CutReport, emit_report
@@ -41,14 +34,24 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _default_seed() -> int:
-    env = os.environ.get("FASTJL_SEED")
-    return int(env) if env else 0
+def _n_range(text: str) -> list[int]:
+    """The doubling sizes lo, 2 lo, ... up to hi from "lo[:hi]", 1 <= lo <= hi."""
+    lo_s, _, hi_s = text.partition(":")
+    lo, hi = int(lo_s), int(hi_s or lo_s)
+    if not 1 <= lo <= hi:
+        raise ValueError(text)
+    return [lo << k for k in range((hi // lo).bit_length())]
+
+
+def _vertex_ids(text: str) -> list[int]:
+    return [int(v) for v in text.split(",") if v != ""]
 
 
 def _add_common(p, seed=True, out=False):
     if seed:
-        p.add_argument("--seed", type=int, default=_default_seed())
+        # argparse parses a string default like a given value, so a bad
+        # FASTJL_SEED is a usage error when --seed is absent.
+        p.add_argument("--seed", type=int, default=os.environ.get("FASTJL_SEED") or 0)
     if out:
         p.add_argument("--out", type=str, default=None)
     p.add_argument("--deterministic", action="store_true")
@@ -99,7 +102,10 @@ def build_parser() -> _Parser:
 
     dcut = dsub.add_parser("cut")
     dcut.add_argument("--graph", required=True)
-    dcut.add_argument("--set", required=True, help="comma-separated vertex ids")
+    dcut.add_argument(
+        "--set", dest="vertex_set", required=True, type=_vertex_ids,
+        help="comma-separated vertex ids",
+    )
     dcut.add_argument("--vertices", type=int, required=True)
     dcut.add_argument("--alpha", type=float, required=True)
     dcut.add_argument("--beta", type=float, required=True)
@@ -113,7 +119,6 @@ def build_parser() -> _Parser:
     dstream.add_argument("--alpha", type=float, required=True)
     dstream.add_argument("--beta", type=float, required=True)
     dstream.add_argument("--r", type=int, required=True)
-    dstream.add_argument("--lift", action="store_true")
     dstream.add_argument("--kind", default="new-gaussian")
     dstream.add_argument("--query", default=None, help="CSV vector for lr queries")
     dstream.add_argument("--out", required=True)
@@ -132,7 +137,7 @@ def build_parser() -> _Parser:
 
     b = sub.add_parser("bench", help="apply-time scaling benchmark")
     b.add_argument("--kind", required=True)
-    b.add_argument("--n-range", default="4096:65536")
+    b.add_argument("--n-range", dest="sizes", type=_n_range, default="4096:65536")
     b.add_argument("--r", type=int, default=64)
     b.add_argument("--reps", type=int, default=30)
     b.add_argument("--warmups", type=int, default=5)
@@ -205,16 +210,13 @@ def _cmd_dp(args) -> int:
         )
         return 0
     if args.dp_command == "cut":
-        edges = [
-            (int(i), int(j), float(wt)) for i, j, wt in load_graph_csv(args.graph)
-        ]
+        edges = load_graph_csv(args.graph)
         params = privacy.DpParams(alpha=args.alpha, beta=args.beta, r=args.r)
         cs = privacy.cut_sketch(edges, args.vertices, params, args.seed, kind=args.kind)
-        vertex_set = [int(v) for v in args.set.split(",") if v != ""]
         report = CutReport(
-            vertex_set=vertex_set,
-            estimate=privacy.cut_query(cs, vertex_set),
-            exact=privacy.exact_cut(edges, args.vertices, vertex_set),
+            vertex_set=args.vertex_set,
+            estimate=privacy.cut_query(cs, args.vertex_set),
+            exact=privacy.exact_cut(edges, args.vertices, args.vertex_set),
             w=params.resolved_w(),
             seed=args.seed,
         )
@@ -228,12 +230,17 @@ def _cmd_dp(args) -> int:
 def load_graph_csv(path):
     rows = []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            i, j, wt = line.split(",")
-            rows.append((int(i), int(j), float(wt)))
+            try:
+                i, j, wt = line.split(",")
+                rows.append((int(i), int(j), float(wt)))
+            except ValueError as exc:
+                raise ContractError(
+                    f"graph line {lineno}: expected i,j,weight, got {line!r}"
+                ) from exc
     return rows
 
 
@@ -251,10 +258,9 @@ def _parse_script_line(line: str, sided: bool, lineno: int):
 
 
 def _cmd_dp_stream(args) -> int:
-    params = privacy.DpParams(
-        alpha=args.alpha, beta=args.beta, r=args.r, lift=args.lift,
-        w=None if args.lift or not math.isinf(args.alpha) else 0.0,
-    )
+    if args.mode == "lr" and not args.query:
+        raise UsageError("lr streaming needs --query pointing at a CSV vector")
+    params = privacy.DpParams(alpha=args.alpha, beta=args.beta, r=args.r)
     with open(args.script) as fh:
         lines = [
             (no, ln.strip()) for no, ln in enumerate(fh, 1)
@@ -274,8 +280,6 @@ def _cmd_dp_stream(args) -> int:
     sk = privacy.lr_sketch_init(params, m, args.seed, kind=args.kind)
     for _, idx, col in parsed:
         privacy.lr_update(sk, idx, col)
-    if not args.query:
-        raise UsageError("lr streaming needs --query pointing at a CSV vector")
     b = load_matrix_csv(args.query).ravel()
     x = privacy.lr_query(sk, b)
     save_matrix_csv(args.out, x[None, :])
@@ -300,19 +304,14 @@ def _cmd_attack(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    lo_s, _, hi_s = args.n_range.partition(":")
-    lo, hi = int(lo_s), int(hi_s or lo_s)
     kind = parse_kind(args.kind)
-    sizes = []
-    n = lo
-    while n <= hi:
-        sizes.append(n)
-        n *= 2
-    medians = transforms.apply_median_ns(kind, sizes, args.r, args.seed, args.reps, args.warmups)
+    medians = transforms.apply_median_ns(
+        kind, args.sizes, args.r, args.seed, args.reps, args.warmups
+    )
     ratios = [medians[i + 1] / medians[i] for i in range(len(medians) - 1)]
     report = BenchReport(
         kind=kind.describe(),
-        sizes=[(n, args.r) for n in sizes],
+        sizes=[(n, args.r) for n in args.sizes],
         median_ns=medians,
         doubling_ratios=ratios,
         reps=args.reps,
@@ -382,6 +381,13 @@ def _cmd_selftest(args) -> int:
     check(abs(lo - 5.0) < 1e-9, "lifted singular-value floor")
     alpha, beta = privacy.compose_privacy(0, 0.5, 0.01, 0.02)
     check(alpha == 0.0 and beta == 0.02, "privacy composition")
+    p = privacy.DpParams(alpha=1.0, beta=0.1, r=4, lift=True)
+    a = BitSource(args.seed).draw_gaussian(3 * 2).reshape(3, 2)
+    sk = privacy.mm_sketch_init(p, 2, 2, args.seed)
+    for c in range(2):
+        privacy.mm_sketch_update(sk, "A", c, a[:, c])
+    batch = privacy.publish_first_moment(a.T, p, args.seed)
+    check(np.array_equal(sk.y_a, batch.data), "stream sketch equals batch publication")
 
     pair = attacks.pair_bounded_orthonormal(16, 3.0)
     check(abs(pair.a[0, 0] - 3.0) < 1e-12 and pair.a[0, 1] == 1.0, "bounded-orthonormal pair")
@@ -409,18 +415,12 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (
-        ContractError,
-        DimensionError,
-        ParameterRangeError,
-        PrivacyPreconditionError,
-        SingularMatrixError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ResourceError, OSError) as exc:
         print(f"resource error: {exc}", file=sys.stderr)
         return 3
+    except FastJlError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -210,11 +210,19 @@ def load_matrix_csv(path) -> np.ndarray:
             rows, cols = (int(part) for part in header.split(","))
         except ValueError as exc:
             raise DimensionError(f"bad matrix header {header!r}") from exc
+        if rows < 0 or cols < 0:
+            raise DimensionError(f"bad matrix header {header!r}")
         values = []
-        for line in fh:
+        for lineno, line in enumerate(fh, 2):
             line = line.strip()
-            if line:
+            if not line:
+                continue
+            try:
                 values.extend(float(tok) for tok in line.split(","))
+            except ValueError as exc:
+                raise ContractError(
+                    f"matrix line {lineno}: expected numbers, got {line!r}"
+                ) from exc
     if len(values) != rows * cols:
         raise DimensionError(
             f"expected {rows * cols} values, found {len(values)}"

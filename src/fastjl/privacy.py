@@ -8,9 +8,10 @@ pointwise maximum and report all three.
 
 Only Gaussian-entried transforms may publish: the privacy argument is
 specific to Gaussian projection entries, and the attacks module shows the
-sign-entried rivals leak.  The streaming sketches replay the exact batch
-computation column by column, so streamed and batch publications are
-bit-identical at equal seeds.
+sign-entried rivals leak.  One stream sketch, with sides "A" and "B" for
+matrix multiplication and "A" for linear regression, always lifts its
+columns and replays the exact batch computation column by column, so
+streamed and batch publications are bit-identical at equal seeds.
 """
 
 from __future__ import annotations
@@ -153,13 +154,12 @@ def _build_for_columns(kind, height: int, r: int, seed: int):
                 f"the block construction needs r | padded dimension; "
                 f"r={r} does not divide {npad} (use a power-of-two r)"
             )
-    src = BitSource(seed)
-    t = transforms.build(kind, npad, r, src, allow_large_r=True)
-    return t, npad
+    return transforms.build(kind, npad, r, BitSource(seed), allow_large_r=True)
 
 
-def _sketch_columns(t, npad: int, cols: np.ndarray) -> np.ndarray:
-    padded = np.zeros((npad, cols.shape[1]))
+def _sketch_columns(t, cols: np.ndarray) -> np.ndarray:
+    """Phi applied to cols zero-padded to the transform's height t.n."""
+    padded = np.zeros((t.n, cols.shape[1]))
     padded[: cols.shape[0]] = cols
     return transforms.apply_columns(t, padded)
 
@@ -205,8 +205,8 @@ def _publish(
     else:
         check_floor(a, params)
         cols = a.T
-    t, npad = _build_for_columns(kind, cols.shape[0], params.r, seed)
-    data = _sketch_columns(t, npad, cols)
+    t = _build_for_columns(kind, cols.shape[0], params.r, seed)
+    data = _sketch_columns(t, cols)
     if mode == SECOND_MOMENT:
         data = transforms.apply_transpose_columns(t, data)[: cols.shape[0]]
     return PrivateSketch(
@@ -218,7 +218,7 @@ def _publish(
         lifted=lift,
         input_rows=a.shape[0],
         input_cols=a.shape[1],
-        delta_structural=_delta_structural(kind, params.r, npad),
+        delta_structural=_delta_structural(kind, params.r, t.n),
         threshold_parts=w_threshold_parts(params.alpha, params.beta, params.r),
     )
 
@@ -385,48 +385,69 @@ def cut_query(cs: CutSketch, vertex_set) -> float:
 # -- streaming sketches ------------------------------------------------------
 
 
-def _check_width(m: int) -> None:
-    if m < 0:
-        raise DimensionError(f"a sketch cannot have {m} columns")
-
-
 @dataclass
-class StreamSketchMM:
-    """Turnstile matrix-multiplication sketch with column replacement."""
+class StreamSketch:
+    """Turnstile sketch with column replacement over named sides.
+
+    MM keeps sides "A" and "B", LR keeps side "A"; each side is an
+    (r, width) array of sketched columns.  Every column lifts into the same
+    e_dim-wide identity block, so all sides share one set-up: the row count
+    and the transform drawn for the lifted height, fixed by the first
+    column sketched into any side.
+    """
 
     params: DpParams
-    m1: int
-    m2: int
     seed: int
     kind: transforms.TransformKind
-    y_a: np.ndarray
-    y_b: np.ndarray
-    n_rows: int | None = None
-    columns_seen_a: set = field(default_factory=set)
-    columns_seen_b: set = field(default_factory=set)
-    _transform: object = None
-    _npad: int = 0
+    sides: dict[str, np.ndarray]
+    e_dim: int
+    setup: tuple[int, transforms.JlTransform] | None = None
 
     @property
-    def e_dim(self) -> int:
-        return max(self.m1, self.m2)
+    def y_a(self) -> np.ndarray:
+        return self.sides["A"]
+
+    @property
+    def y_b(self) -> np.ndarray:
+        return self.sides["B"]
 
 
-def _sketch_stream_column(sk, e_dim: int, index: int, column: np.ndarray) -> np.ndarray:
-    """Sketch one column lifted at index; the first column fixes the row
-    count and draws the transform."""
-    if sk.n_rows is None:
-        sk.n_rows = column.shape[0]
-        height = _lifted_height(e_dim, sk.n_rows)
-        sk._transform, sk._npad = _build_for_columns(
-            sk.kind, height, sk.params.r, sk.seed
-        )
-    elif column.shape[0] != sk.n_rows:
-        raise DimensionError(
-            f"column has {column.shape[0]} rows, sketch expects {sk.n_rows}"
-        )
-    lifted = _lift_columns(column[:, None], [index], e_dim, sk.params.resolved_w())
-    return _sketch_columns(sk._transform, sk._npad, lifted)[:, 0]
+def _stream_init(params: DpParams, widths: dict, seed: int, kind) -> StreamSketch:
+    kind = _require_publishable(kind)
+    if min(widths.values()) < 0:
+        raise DimensionError(f"a sketch cannot have {min(widths.values())} columns")
+    sides = {side: np.zeros((params.r, m)) for side, m in widths.items()}
+    return StreamSketch(params, seed, kind, sides, e_dim=max(widths.values()))
+
+
+def _sketch_stream_column(sk: StreamSketch, index: int, column) -> np.ndarray:
+    """Sketch one column lifted at index.  The first column fixes the row
+    count and draws the transform; the pair is stored only once that
+    column has been sketched, so a failed first column leaves no set-up."""
+    column = np.asarray(column, dtype=float)
+    if column.ndim != 1:
+        raise DimensionError(f"a streamed column must be a vector, not {column.shape}")
+    n_rows, t = sk.setup or (column.shape[0], None)
+    if column.shape[0] != n_rows:
+        raise DimensionError(f"column has {column.shape[0]} rows, sketch expects {n_rows}")
+    if t is None:
+        height = _lifted_height(sk.e_dim, n_rows)
+        t = _build_for_columns(sk.kind, height, sk.params.r, sk.seed)
+    lifted = _lift_columns(column[:, None], [index], sk.e_dim, sk.params.resolved_w())
+    sketched = _sketch_columns(t, lifted)[:, 0]
+    sk.setup = (n_rows, t)
+    return sketched
+
+
+def _stream_update(sk: StreamSketch, side: str, col_index: int, column) -> None:
+    """Replace column col_index of the named side with its lifted sketch."""
+    if side not in sk.sides:
+        raise ParameterRangeError("side must be " + " or ".join(map(repr, sk.sides)))
+    y = sk.sides[side]
+    if not 0 <= col_index < y.shape[1]:
+        where = f" for side {side}" if len(sk.sides) > 1 else ""
+        raise DimensionError(f"column index {col_index} out of range{where}")
+    y[:, col_index] = _sketch_stream_column(sk, col_index, column)
 
 
 def mm_sketch_init(
@@ -435,58 +456,21 @@ def mm_sketch_init(
     m2: int,
     seed: int,
     kind: str | transforms.TransformKind = transforms.NEW_GAUSSIAN,
-) -> StreamSketchMM:
-    kind = _require_publishable(kind)
-    _check_width(m1)
-    _check_width(m2)
-    return StreamSketchMM(
-        params=params,
-        m1=m1,
-        m2=m2,
-        seed=seed,
-        kind=kind,
-        y_a=np.zeros((params.r, m1)),
-        y_b=np.zeros((params.r, m2)),
-    )
+) -> StreamSketch:
+    """Sketch of A^T B: A's m1 columns stream into side "A", B's m2 into "B"."""
+    return _stream_init(params, {"A": m1, "B": m2}, seed, kind)
 
 
 def mm_sketch_update(
-    sk: StreamSketchMM, side: str, col_index: int, column: np.ndarray
+    sk: StreamSketch, side: str, col_index: int, column: np.ndarray
 ) -> None:
     """Replace one column of the named side with its lifted sketch."""
-    column = np.asarray(column, dtype=float)
-    if side not in ("A", "B"):
-        raise ParameterRangeError("side must be 'A' or 'B'")
-    limit = sk.m1 if side == "A" else sk.m2
-    if not 0 <= col_index < limit:
-        raise DimensionError(f"column index {col_index} out of range for side {side}")
-    sketched = _sketch_stream_column(sk, sk.e_dim, col_index, column)
-    if side == "A":
-        sk.y_a[:, col_index] = sketched
-        sk.columns_seen_a.add(col_index)
-    else:
-        sk.y_b[:, col_index] = sketched
-        sk.columns_seen_b.add(col_index)
+    _stream_update(sk, side, col_index, column)
 
 
-def mm_query(sk: StreamSketchMM) -> np.ndarray:
+def mm_query(sk: StreamSketch) -> np.ndarray:
     """Y_A^T Y_B, the sketched estimate of A^T B (plus lift overlap)."""
     return sk.y_a.T @ sk.y_b
-
-
-@dataclass
-class StreamSketchLR:
-    """Turnstile linear-regression sketch over a column-streamed design."""
-
-    params: DpParams
-    m: int
-    seed: int
-    kind: transforms.TransformKind
-    y_a: np.ndarray
-    n_rows: int | None = None
-    columns_seen: set = field(default_factory=set)
-    _transform: object = None
-    _npad: int = 0
 
 
 def lr_sketch_init(
@@ -494,32 +478,24 @@ def lr_sketch_init(
     m: int,
     seed: int,
     kind: str | transforms.TransformKind = transforms.NEW_GAUSSIAN,
-) -> StreamSketchLR:
-    kind = _require_publishable(kind)
-    _check_width(m)
-    return StreamSketchLR(
-        params=params, m=m, seed=seed, kind=kind, y_a=np.zeros((params.r, m))
-    )
+) -> StreamSketch:
+    """Sketch of an m-column regression design streamed into side "A"."""
+    return _stream_init(params, {"A": m}, seed, kind)
 
 
-def lr_update(sk: StreamSketchLR, col_index: int, column: np.ndarray) -> None:
-    column = np.asarray(column, dtype=float)
-    if not 0 <= col_index < sk.m:
-        raise DimensionError(f"column index {col_index} out of range")
-    sk.y_a[:, col_index] = _sketch_stream_column(sk, sk.m, col_index, column)
-    sk.columns_seen.add(col_index)
+def lr_update(sk: StreamSketch, col_index: int, column: np.ndarray) -> None:
+    _stream_update(sk, "A", col_index, column)
 
 
-def lr_query(sk: StreamSketchLR, b: np.ndarray, query_index: int = 0) -> np.ndarray:
+def lr_query(sk: StreamSketch, b: np.ndarray, query_index: int = 0) -> np.ndarray:
     """argmin_x ||Y_A x - Y_b|| with b embedded through the same transform.
 
     b gets the same lifted layout as a data column (w e_{query_index} on
     the identity block), so the non-private mode reduces to plain
     sketch-and-solve.
     """
-    if not sk.columns_seen:
+    if sk.setup is None:
         raise ContractError("lr_query needs at least one streamed column")
-    if not 0 <= query_index < sk.m:
+    if not 0 <= query_index < sk.y_a.shape[1]:
         raise DimensionError(f"query index {query_index} out of range")
-    b = np.asarray(b, dtype=float)
-    return least_squares(sk.y_a, _sketch_stream_column(sk, sk.m, query_index, b))
+    return least_squares(sk.y_a, _sketch_stream_column(sk, query_index, b))

@@ -36,6 +36,8 @@ from .linalg import (
 from .randomness import BitSource, derive_stream
 
 _REALIZE_LIMIT = 1 << 14
+# Sign entries an ailon-liberty build may store (depth x n), 128 MiB as floats.
+_LAYER_LIMIT = 1 << 24
 
 NEW_RADEMACHER = "new-rademacher"
 NEW_GAUSSIAN = "new-gaussian"
@@ -107,17 +109,20 @@ def parse_kind(text: str) -> TransformKind:
     """Parse CLI-style kind strings, e.g. "new-rademacher", "fjlt:0.25",
     "subsampled-hadamard:2", "ailon-liberty:3", "new-sparse-g:0.5,0.05"."""
     tag, _, rest = text.partition(":")
-    if tag == FJLT:
-        return TransformKind(tag, p=float(rest or 0.25))
-    if tag == SUBSAMPLED_HADAMARD:
-        return TransformKind(tag, bucket=int(rest or 2))
-    if tag == AILON_LIBERTY:
-        return TransformKind(tag, depth=int(rest or 3))
-    if tag == NEW_SPARSE_G:
-        if rest:
-            eps_s, _, delta_s = rest.partition(",")
-            return TransformKind(tag, eps=float(eps_s), delta=float(delta_s or 0.05))
-        return TransformKind(tag, eps=0.5, delta=0.05)
+    try:
+        if tag == FJLT:
+            return TransformKind(tag, p=float(rest or 0.25))
+        if tag == SUBSAMPLED_HADAMARD:
+            return TransformKind(tag, bucket=int(rest or 2))
+        if tag == AILON_LIBERTY:
+            return TransformKind(tag, depth=int(rest or 3))
+        if tag == NEW_SPARSE_G:
+            if rest:
+                eps_s, _, delta_s = rest.partition(",")
+                return TransformKind(tag, eps=float(eps_s), delta=float(delta_s or 0.05))
+            return TransformKind(tag, eps=0.5, delta=0.05)
+    except ValueError as exc:
+        raise ParameterRangeError(f"kind {text!r} has a malformed parameter") from exc
     if rest:
         raise ParameterRangeError(f"kind {tag!r} takes no parameter, got {rest!r}")
     return TransformKind(tag)
@@ -139,14 +144,19 @@ class SparseGParams:
 
     @staticmethod
     def compute(n: int, r: int, eps: float, delta: float) -> "SparseGParams":
-        a = math.ceil(16.0 / eps * math.log(1.0 / delta) * math.log(r / delta) ** 2)
-        a = max(a, 2)
-        if 1.0 / a <= math.log(n / delta) / n:
-            b_raw = math.ceil(6.0 * a * math.log(a / delta))
-            fallback = False
-        else:
-            b_raw = r * r
-            fallback = True
+        try:
+            a = math.ceil(16.0 / eps * math.log(1.0 / delta) * math.log(r / delta) ** 2)
+            a = max(a, 2)
+            if 1.0 / a <= math.log(n / delta) / n:
+                b_raw = math.ceil(6.0 * a * math.log(a / delta))
+                fallback = False
+            else:
+                b_raw = r * r
+                fallback = True
+        except OverflowError as exc:
+            raise ParameterRangeError(
+                f"new-sparse-g eps={eps}, delta={delta} overflow the block sizes"
+            ) from exc
         b = min(next_power_of_two(b_raw), n)
         return SparseGParams(a=a, b=b, fallback=fallback)
 
@@ -337,8 +347,13 @@ def build(
     elif tag == AILON_LIBERTY:
         if r > n:
             raise DimensionError(f"r={r} rows exceed n={n}")
-        layers = [src.draw_rademacher(n).astype(float) for _ in range(kind.depth)]
-        factors["layers"] = np.stack(layers)
+        if kind.depth * n > _LAYER_LIMIT:
+            raise ResourceError(
+                f"ailon-liberty depth {kind.depth} at n={n} exceeds "
+                f"{_LAYER_LIMIT} stored signs (memory guard)"
+            )
+        # The layers are consecutive n-sign draws, so one draw reads the same bits.
+        factors["layers"] = src.draw_rademacher(kind.depth * n).astype(float).reshape(-1, n)
         mark("signs")
         factors["rows"] = _draw_distinct_indices(src, n, r)
         mark("row_sample")

@@ -1,11 +1,14 @@
 import json
+import os
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fastjl import cli, linalg, transforms
+from fastjl import cli, linalg, privacy, transforms
 from fastjl.linalg import load_matrix_csv, save_matrix_csv
 from fastjl.randomness import BitSource
 from fastjl.reports import load_report
@@ -37,6 +40,16 @@ class TestExitCodes:
         monkeypatch.setattr(linalg, "fwht_normalized", last_block_broken)
         assert run_cli(["selftest", "--seed", "7"]) == 2
         assert "fwht involution over column blocks" in capsys.readouterr().err
+
+    def test_selftest_catches_a_broken_stream_path(self, capsys, monkeypatch):
+        real = privacy._sketch_stream_column
+
+        def one_ulp_off(*args):
+            return np.nextafter(real(*args), np.inf)
+
+        monkeypatch.setattr(privacy, "_sketch_stream_column", one_ulp_off)
+        assert run_cli(["selftest", "--seed", "7"]) == 2
+        assert "stream sketch equals batch publication" in capsys.readouterr().err
 
     def test_usage_error_is_one(self, capsys):
         assert run_cli(["gen", "--bogus"]) == 1
@@ -234,10 +247,28 @@ class TestDpStream:
         code = run_cli([
             "dp", "stream", "--script", str(script), "--mode", mode,
             "--alpha", "inf", "--beta", "0.1", "--r", "4",
-            "--out", str(tmp_path / "out.csv"),
+            "--query", str(tmp_path / "b.csv"), "--out", str(tmp_path / "out.csv"),
         ])
         assert code == 2
         assert "line 3" in capsys.readouterr().err
+
+    def test_lr_checks_query_before_reading_the_script(self, tmp_path, capsys):
+        code = run_cli([
+            "dp", "stream", "--script", str(tmp_path / "missing.csv"),
+            "--mode", "lr", "--alpha", "inf", "--beta", "0.1", "--r", "4",
+            "--out", str(tmp_path / "x.csv"),
+        ])
+        assert code == 1
+        assert "--query" in capsys.readouterr().err
+
+    def test_stream_takes_no_lift(self, tmp_path, capsys):
+        script = tmp_path / "updates.csv"
+        script.write_text("A,0,1.0,2.0\n")
+        code = run_cli([
+            "dp", "stream", "--script", str(script), "--alpha", "inf",
+            "--beta", "0.1", "--r", "4", "--lift", "--out", str(tmp_path / "y.csv"),
+        ])
+        assert code == 1
 
 
 class TestDpCut:
@@ -279,6 +310,131 @@ class TestEnvSeed:
         parser = cli.build_parser()
         args = parser.parse_args(["selftest"])
         assert args.seed == 99
+
+    def test_bad_fastjl_seed_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("FASTJL_SEED", "abc")
+        gen = ["gen", "--kind", "new-rademacher", "--n", "64", "--r", "4"]
+        assert run_cli(gen) == 1
+        assert "'abc'" in capsys.readouterr().err
+        assert run_cli(gen + ["--seed", "3"]) == 0
+
+
+class TestOutsideText:
+    """Malformed text from argv, the environment or an input file maps to
+    its exit code instead of a traceback."""
+
+    @pytest.mark.parametrize(
+        "kind", ["fjlt:abc", "new-sparse-g:0.5,x", "subsampled-hadamard:2.5"]
+    )
+    def test_non_numeric_kind_parameter_is_two(self, capsys, kind):
+        assert run_cli(["gen", "--kind", kind, "--n", "64", "--r", "4"]) == 2
+        assert repr(kind) in capsys.readouterr().err
+
+    def test_overflowing_sparse_g_parameter_is_two(self, capsys):
+        code = run_cli(["gen", "--kind", "new-sparse-g:0.5,1e-300", "--n", "64", "--r", "4"])
+        assert code == 2
+
+    def test_huge_ailon_liberty_depth_is_three(self, capsys):
+        code = run_cli(["gen", "--kind", "ailon-liberty:99999999", "--n", "64", "--r", "4"])
+        assert code == 3
+        assert "memory guard" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n_range", ["x:y", "64:32", "0:4", "-4:4"])
+    def test_bad_n_range_is_usage_error(self, capsys, n_range):
+        code = run_cli([
+            "bench", "--kind", "new-rademacher", "--n-range", n_range,
+            "--r", "4", "--reps", "1", "--warmups", "0",
+        ])
+        assert code == 1
+        assert "--n-range" in capsys.readouterr().err
+
+    def test_bad_vertex_set_is_usage_error(self, tmp_path, capsys):
+        graph = tmp_path / "edges.csv"
+        graph.write_text("0,1,1.0\n")
+        code = run_cli([
+            "dp", "cut", "--graph", str(graph), "--set", "a", "--vertices", "2",
+            "--alpha", "1.0", "--beta", "0.1", "--r", "16",
+        ])
+        assert code == 1
+
+    @pytest.mark.parametrize(
+        "body, where", [("2,2\n1.0,2.0\n3.0,x\n", "line 3"), ("-1,-1\n5.0\n", "header")]
+    )
+    def test_malformed_matrix_file_is_two(self, tmp_path, capsys, body, where):
+        path = tmp_path / "a.csv"
+        path.write_text(body)
+        code = run_cli([
+            "dp", "publish", "--matrix", str(path), "--alpha", "inf",
+            "--beta", "0.1", "--r", "4", "--out", str(tmp_path / "y.csv"),
+        ])
+        assert code == 2
+        assert where in capsys.readouterr().err
+
+    def test_short_graph_line_is_two(self, tmp_path, capsys):
+        graph = tmp_path / "edges.csv"
+        graph.write_text("0,1,1.0\n1,2\n")
+        code = run_cli([
+            "dp", "cut", "--graph", str(graph), "--set", "0", "--vertices", "3",
+            "--alpha", "1.0", "--beta", "0.1", "--r", "16",
+        ])
+        assert code == 2
+        assert "graph line 2" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def triangle_graph(tmp_path_factory):
+    path = tmp_path_factory.mktemp("graph") / "edges.csv"
+    path.write_text("0,1,1.0\n1,2,1.0\n0,2,1.0\n")
+    return path
+
+
+_KIND_TEXT = st.builds(
+    "{}{}{}".format,
+    st.sampled_from(transforms.ALL_TAGS + ("gaussian",)),
+    st.sampled_from(("", ":")),
+    st.text(alphabet="0123456789.,-:eaxn", max_size=8),
+)
+_SIZE_TEXT = st.one_of(
+    st.integers(-3, 64).map(str), st.text(alphabet="0123456-x. ", max_size=2)
+)
+_N_RANGE_TEXT = st.builds(
+    "{}{}{}".format, _SIZE_TEXT, st.sampled_from(("", ":", "::")), _SIZE_TEXT
+)
+
+
+class TestTextSurface:
+    """Any short text in a kind string, --n-range, --set or FASTJL_SEED
+    yields an exit code from the contract and raises nothing else."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(kind=_KIND_TEXT)
+    def test_kind_strings(self, kind):
+        assert run_cli(["gen", "--kind", kind, "--n", "64", "--r", "4"]) in (0, 1, 2, 3)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n_range=_N_RANGE_TEXT)
+    def test_n_ranges(self, n_range):
+        code = run_cli([
+            "bench", "--kind", "new-rademacher", "--n-range", n_range,
+            "--r", "4", "--reps", "1", "--warmups", "0",
+        ])
+        assert code in (0, 1, 2, 3)
+
+    @settings(max_examples=60, deadline=None)
+    @given(vertex_set=st.text(alphabet="0123-, a", max_size=6))
+    def test_vertex_sets(self, triangle_graph, vertex_set):
+        code = run_cli([
+            "dp", "cut", "--graph", str(triangle_graph), "--set", vertex_set,
+            "--vertices", "4", "--alpha", "1.0", "--beta", "0.1", "--r", "16",
+        ])
+        assert code in (0, 1, 2, 3)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.text(alphabet="0123456789-x ", max_size=24))
+    def test_seeds(self, seed):
+        with mock.patch.dict(os.environ, {"FASTJL_SEED": seed}):
+            code = run_cli(["gen", "--kind", "new-rademacher", "--n", "64", "--r", "4"])
+        assert code in (0, 1, 2, 3)
 
 
 class TestConsoleScript:

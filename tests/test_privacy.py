@@ -294,6 +294,35 @@ class TestStreamSketches:
             pv.mm_sketch_update(sk, "C", 0, np.ones(4))
         with pytest.raises(DimensionError):
             pv.mm_sketch_update(sk, "A", 9, np.ones(4))
+        with pytest.raises(DimensionError):
+            pv.mm_sketch_update(sk, "A", 0, np.ones((4, 1)))
+
+    def test_sides_share_one_setup(self):
+        sk = pv.mm_sketch_init(NONPRIVATE, 2, 3, seed=2, kind="dense-gaussian")
+        assert sk.setup is None and sk.e_dim == 3
+        pv.mm_sketch_update(sk, "B", 2, np.ones(5))
+        n_rows, t = sk.setup
+        pv.mm_sketch_update(sk, "A", 0, np.ones(5))
+        assert n_rows == 5 and sk.setup[1] is t
+        with pytest.raises(DimensionError):
+            pv.mm_sketch_update(sk, "A", 1, np.ones(4))
+
+    def test_failed_first_column_leaves_sketch_unset(self):
+        # r=3 does not divide the padded height, so the first build fails.
+        p = pv.DpParams(alpha=1.0, beta=0.1, r=3, lift=True)
+        sk = pv.lr_sketch_init(p, 2, seed=1, kind="new-gaussian")
+        with pytest.raises(DimensionError) as first:
+            pv.lr_update(sk, 0, np.ones(4))
+        with pytest.raises(DimensionError) as second:
+            pv.lr_update(sk, 1, np.ones(4))
+        assert str(second.value) == str(first.value)
+        with pytest.raises(ContractError):
+            pv.lr_query(sk, np.ones(4))
+        mm = pv.mm_sketch_init(p, 2, 2, seed=1, kind="new-gaussian")
+        for side in ("A", "B"):
+            with pytest.raises(DimensionError, match="r=3 does not divide"):
+                pv.mm_sketch_update(mm, side, 0, np.ones(4))
+        assert sk.setup is None and mm.setup is None
 
     def test_lr_identity_recovers_b(self):
         sk = pv.lr_sketch_init(NONPRIVATE, 8, seed=7, kind="dense-gaussian")
