@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gammainc, gammaincc
 
 from .errors import ContractError, DimensionError, ParameterRangeError
 from .linalg import fwht_normalized, is_power_of_two, symmetric_eigenvalues
@@ -150,6 +149,9 @@ def chi_square_interval_tail(r: int, eps: float) -> float:
     calibration oracle for the dense Gaussian sketch, whose squared image
     norm of a unit vector is exactly chi2_r / r.
     """
+    # Imported here: scipy.special is most of the package's import time.
+    from scipy.special import gammainc, gammaincc
+
     upper = gammaincc(r / 2.0, r * (1.0 + eps) / 2.0)
     lower = gammainc(r / 2.0, r * (1.0 - eps) / 2.0) if eps < 1.0 else 0.0
     return float(upper + lower)

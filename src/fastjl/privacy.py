@@ -182,6 +182,19 @@ def _check_floor(a: np.ndarray, params: DpParams) -> None:
         )
 
 
+def _check_lift(params: DpParams) -> None:
+    """Refuse a lifting magnitude below the privacy floor: the one rule
+    for lifted publications and stream sketches, which always lift."""
+    w = params.resolved_w()
+    thr = w_threshold(params.alpha, params.beta, params.r)
+    if w < thr - 1e-12:
+        raise PrivacyPreconditionError(
+            f"lifting magnitude w={w:.6g} below threshold {thr:.6g}",
+            sigma_min=w,
+            threshold=thr,
+        )
+
+
 def _publish(
     a, params: DpParams, seed: int, kind, mode: str, lift: bool, check_floor=_check_floor
 ) -> PrivateSketch:
@@ -193,14 +206,7 @@ def _publish(
     kind = _require_publishable(kind)
     a = np.atleast_2d(np.asarray(a, dtype=float))
     if lift:
-        w = params.resolved_w()
-        thr = w_threshold(params.alpha, params.beta, params.r)
-        if w < thr - 1e-12:
-            raise PrivacyPreconditionError(
-                f"lifting magnitude w={w:.6g} below threshold {thr:.6g}",
-                sigma_min=w,
-                threshold=thr,
-            )
+        _check_lift(params)
         cols = lift_matrix(a.T, params)
     else:
         check_floor(a, params)
@@ -414,6 +420,7 @@ class StreamSketch:
 
 def _stream_init(params: DpParams, widths: dict, seed: int, kind) -> StreamSketch:
     kind = _require_publishable(kind)
+    _check_lift(params)
     if min(widths.values()) < 0:
         raise DimensionError(f"a sketch cannot have {min(widths.values())} columns")
     sides = {side: np.zeros((params.r, m)) for side, m in widths.items()}

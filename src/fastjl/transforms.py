@@ -247,7 +247,7 @@ def build(
     setup at most.
     """
     if isinstance(kind, str):
-        kind = TransformKind(kind)
+        kind = parse_kind(kind)
     check_size(n, r)
 
     tag = kind.tag

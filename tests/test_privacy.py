@@ -371,6 +371,17 @@ class TestStreamSketches:
             outs.append(pv.lr_query(sk, BitSource(50).draw_gaussian(8)))
         assert np.array_equal(outs[0], outs[1])
 
+    def test_stream_lift_below_threshold_rejected(self):
+        # The floor a lifted publication checks holds for stream sketches,
+        # which always lift.
+        p = pv.DpParams(alpha=1.0, beta=0.1, r=16, lift=True, w=1.0)
+        with pytest.raises(PrivacyPreconditionError):
+            pv.publish_first_moment(np.eye(4), p, seed=1)
+        with pytest.raises(PrivacyPreconditionError):
+            pv.mm_sketch_init(p, 4, 3, seed=13, kind="new-gaussian")
+        with pytest.raises(PrivacyPreconditionError):
+            pv.lr_sketch_init(p, 4, seed=13, kind="dense-gaussian")
+
     def test_streaming_equals_batch_bit_for_bit(self):
         p = pv.DpParams(alpha=1.0, beta=0.1, r=64, lift=True)
         a = BitSource(9).draw_gaussian(6 * 4).reshape(6, 4)

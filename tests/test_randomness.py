@@ -324,10 +324,24 @@ def _reference_permutation(src, n):
     for b, (k, acc) in enumerate(zip(plan.kbits.tolist(), plan.accept.tolist())):
         while vals[b] >= acc:
             vals[b] = int("".join(map(str, _reference_take_bits(src, k).tolist())), 2)
+    # Batch b holds the next steps, from n-1 down, whose radices multiply
+    # to mods[b]; its digits are the mixed-radix expansion of the draw.
+    digits, steps = [], iter(range(n - 1, 0, -1))
+    for v, m in zip(vals, plan.mods.tolist()):
+        residue, radix = v % m, 1
+        while radix < m:
+            i = next(steps)
+            residue, d = divmod(residue, i + 1)
+            digits.append(d)
+            radix *= i + 1
+    return _swap_permutation(digits, n)
+
+
+def _swap_permutation(digits, n):
+    """The Fisher-Yates swap loop: step i, from n-1 down to 1, swaps index
+    i with digits[n-1-i]."""
     perm = list(range(n))
-    residue = [v % m for v, m in zip(vals, plan.mods.tolist())]
-    for b, i in zip(plan.batch_of.tolist(), plan.swap_targets):
-        residue[b], d = divmod(residue[b], i + 1)
+    for i, d in zip(range(n - 1, 0, -1), digits):
         perm[i], perm[d] = perm[d], perm[i]
     return np.array(perm)
 
@@ -446,6 +460,56 @@ class TestRowDraws:
             out = ROW_DRAWS[kind][0](sources, 0)
             assert out.shape == (3, 0)
         assert [_state(s) for s in sources] == [_state(BitSource(1, k)) for k in range(3)]
+
+    @pytest.mark.parametrize("k", [1, 3, 16])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 63, 64, 65, 1000, 1024, 4096, 65536, 65537])
+    def test_permutation_rows_equal_swap_loop(self, n, k):
+        # Decoded rows (and the small draws' swapped ones) equal the
+        # reference swap loop, and leave every source in the reference
+        # state.  65537 needs digits past uint16; 16 rows span slices.
+        rows_src, ref_src = _twin_sources(17, [(5 * j + 1, j % 3) for j in range(k)])
+        _assert_rows_match("permutation", rows_src, ref_src, n)
+
+    @pytest.mark.parametrize("n", [2, 3, 64, 1024, 4096])
+    def test_decode_adversarial_digits(self, n):
+        # All zeros, the identity (d_i = i) and the longest chain
+        # (d_i = i - 1): the chain needs about log2(n) jumping rounds.
+        plan = randomness._permutation_plan(n)
+        steps = np.arange(n)
+        digits = np.stack([np.zeros(n, dtype=np.int64), steps, np.maximum(steps - 1, 0)])
+        expected = np.stack([_swap_permutation(row[:0:-1].tolist(), n) for row in digits])
+        for row in range(3):
+            out = np.empty((1, n), dtype=np.int64)
+            plan.decode(digits[row : row + 1], out)
+            assert np.array_equal(out, expected[row : row + 1])
+        if plan.rows >= 3:
+            out = np.empty((3, n), dtype=np.int64)
+            plan.decode(digits, out)
+            assert np.array_equal(out, expected)
+
+    def test_decode_threshold_sides(self, monkeypatch):
+        # Draws just under _DECODE_MIN_ENTRIES (rows x n) swap, draws at it
+        # decode; both match the reference.
+        paths = []
+        for name in ("swap", "decode"):
+            real = getattr(randomness._PermutationPlan, name)
+
+            def spy(plan, digits, out, real=real, name=name):
+                paths.append(name)
+                real(plan, digits, out)
+
+            monkeypatch.setattr(randomness._PermutationPlan, name, spy)
+        least = randomness._DECODE_MIN_ENTRIES
+        for k, n, path in [
+            (1, least - 1, "swap"),
+            (1, least, "decode"),
+            (8, -(-least // 8) - 1, "swap"),
+            (8, -(-least // 8), "decode"),
+        ]:
+            paths.clear()
+            rows_src, ref_src = _twin_sources(23, [(j, 0) for j in range(k)])
+            _assert_rows_match("permutation", rows_src, ref_src, n)
+            assert paths == [path]
 
     def test_chunk_working_set_bounded(self):
         # One chunk of new-gaussian trials at the jlp benchmark's size; the

@@ -285,6 +285,16 @@ class TestParseKind:
         with pytest.raises(ParameterRangeError):
             tr.parse_kind("mystery-transform")
 
+    @pytest.mark.parametrize("text", ["fjlt:0.5", "fjlt", "new-sparse-g", "subsampled-hadamard:4"])
+    def test_build_parses_kind_text(self, text):
+        # build and apply_median_ns read a kind string as privacy and the
+        # CLI do, parameters and defaults included.
+        t = tr.build(text, 64, 8, BitSource(1), allow_large_r=True)
+        same = tr.build(tr.parse_kind(text), 64, 8, BitSource(1), allow_large_r=True)
+        assert t.kind == same.kind
+        assert np.array_equal(tr.realize_dense(t), tr.realize_dense(same))
+        assert len(tr.apply_median_ns(text, [64], 8, seed=1, reps=1, warmups=0)) == 1
+
     def test_rejects_bad_params(self):
         with pytest.raises(ParameterRangeError):
             tr.TransformKind("fjlt", p=1.5)
